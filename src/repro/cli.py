@@ -243,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--schemes", nargs="+",
                        default=["duplication", "gpupd", "chopin+sched"],
                        choices=sorted(SCHEMES))
-    bench.add_argument("--output", default="BENCH_artifact_cache.json",
-                       help="JSON report path "
-                            "(default: BENCH_artifact_cache.json)")
+    bench.add_argument("--output", default=None,
+                       help="JSON report path (default: "
+                            "BENCH_artifact_cache.json in cache mode, "
+                            "BENCH_pipelining.json in pipelining mode)")
     bench.add_argument("--min-speedup", type=float, default=1.0,
                        help="fail (exit 1) when warm wall-time is not at "
                             "least this factor faster than cold "
@@ -258,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "chopin+sched and dfb at pipeline_depth 1 vs "
                             "unbounded, asserting bit-identical images and "
                             "reporting idle/stall/overlap cycles "
-                            "(--schemes is ignored; default output "
-                            "BENCH_pipelining.json)")
+                            "(--schemes is ignored)")
     bench.add_argument("--min-overlap-win", type=float, default=0.0,
                        help="pipelining mode gate: fail (exit 1) unless "
                             "unbounding the window cuts summed idle "
@@ -687,9 +687,7 @@ def _cmd_bench_pipelining(args) -> int:
 
     from .stats import gmean
 
-    output = args.output
-    if output == "BENCH_artifact_cache.json":
-        output = "BENCH_pipelining.json"
+    output = args.output or "BENCH_pipelining.json"
     schemes = ("chopin+sched", "dfb")
     topology = getattr(args, "topology", None)
     bounded = make_setup(args.scale, num_gpus=args.gpus, topology=topology,
@@ -698,7 +696,7 @@ def _cmd_bench_pipelining(args) -> int:
                            topology=topology)
 
     def cell(result) -> dict:
-        summary = result.stats.pipeline_summary()
+        summary = result.stats.summary("pipeline")
         summary["frame_cycles"] = result.frame_cycles
         summary["comp_overlap_cycles"] = round(
             summary["comp_overlap_cycles"], 2)
@@ -770,6 +768,7 @@ def cmd_bench(args) -> int:
 
     if args.mode == "pipelining":
         return _cmd_bench_pipelining(args)
+    output = args.output or "BENCH_artifact_cache.json"
     setup = make_setup(args.scale, num_gpus=args.gpus,
                        topology=getattr(args, "topology", None),
                        watchdog_cycles=getattr(args, "watchdog_cycles",
@@ -833,7 +832,7 @@ def cmd_bench(args) -> int:
         "cold_store": cold_delta.to_dict(),
         "warm_store": warm_delta.to_dict(),
     }
-    with open(args.output, "w") as handle:
+    with open(output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print(f"bench: {report['jobs']} jobs "
@@ -844,7 +843,7 @@ def cmd_bench(args) -> int:
     print(f"  warm : {warm_s:8.2f}s  "
           f"(hit rate {warm_delta.hit_rate:5.1%}"
           f"{', via disk' if report['disk_tier'] else ''})")
-    print(f"  speedup: {speedup:.2f}x  -> {args.output}")
+    print(f"  speedup: {speedup:.2f}x  -> {output}")
     if mismatches:
         print(f"error: warm pass diverged from cold pass on "
               f"{', '.join(mismatches)}", file=sys.stderr)

@@ -16,52 +16,25 @@ import pathlib
 from typing import Dict, Iterable, List, Union
 
 from ..sfr.base import SchemeResult
-from ..stats import ALL_STAGES
+from ..stats import (ALL_STAGES, SUMMARY_COLUMNS, SUMMARY_GROUPS,
+                     RunStats)
 from .runner import Setup, run_benchmark
 
 PathLike = Union[str, pathlib.Path]
 
-#: fault-injection counters appended to every row (zero when fault-free)
-FAULT_COLUMNS = ("link_retries", "dropped_transfers", "corrupted_transfers",
-                 "retransmitted_bytes", "backoff_cycles", "failed_gpus",
-                 "redistributed_draws", "recovery_cycles",
-                 "recovery_overhead_cycles", "frame_index", "fault_events")
-
-#: engine supervision counters (see repro.harness.engine; zero/False when
-#: the run was unsupervised) plus race-sanitizer coverage (shared-state
-#: accesses recorded; zero when the run was not sanitized)
-ENGINE_COLUMNS = ("job_attempts", "job_retries", "job_timeouts",
-                  "job_resumed", "sanitizer_accesses")
-
-#: artifact-store counters (see repro.render.store): cached functional
-#: work this run reused vs recomputed; zero when the result was a hit
-ARTIFACT_COLUMNS = ("artifact_hits", "artifact_misses",
-                    "artifact_evictions", "artifact_disk_loads",
-                    "artifact_disk_corrupt")
-
-#: frame-serving counters (see repro.serve; zero outside serve runs)
-SERVE_COLUMNS = ("serve_requests", "serve_admitted", "serve_completed",
-                 "serve_rejected", "serve_throttled", "serve_shed",
-                 "serve_requeued", "serve_batches", "serve_queue_peak",
-                 "serve_deadline_misses", "serve_degraded_events",
-                 "serve_latency_p50_cycles", "serve_latency_p95_cycles",
-                 "serve_latency_p99_cycles", "serve_overlap_cycles",
-                 "serve_overlapped_batches")
-
-#: cross-group pipelining counters (see repro.sfr.chopin / repro.sfr.dfb;
-#: zero for schemes without an overlapped composition chain)
-PIPELINE_COLUMNS = ("pipeline_depth", "pipeline_stall_cycles",
-                    "comp_overlap_cycles", "idle_cycles",
-                    "scheduler_groups_peak")
-
-#: the flat columns a result row carries
+#: the flat columns a result row carries: measurements, then every export
+#: group's counters (see repro.stats.SUMMARY_COLUMNS)
 COLUMNS = ("benchmark", "scheme", "num_gpus", "scale", "status",
            "frame_cycles",
            "speedup_vs_duplication", "triangles", "fragments_shaded",
            "fragments_passed", "traffic_bytes") + tuple(
-               f"cycles_{stage}" for stage in ALL_STAGES) \
-    + FAULT_COLUMNS + ENGINE_COLUMNS + ARTIFACT_COLUMNS + SERVE_COLUMNS \
-    + PIPELINE_COLUMNS
+               f"cycles_{stage}" for stage in ALL_STAGES) + tuple(
+               column for group in SUMMARY_GROUPS
+               for column in SUMMARY_COLUMNS[group])
+
+#: groups a failed job's placeholder row reports as zero; the fault
+#: group describes the lost run itself, so it stays empty
+_FAILED_ZERO_GROUPS = ("engine", "artifact", "serve", "pipeline")
 
 
 def result_row(result: SchemeResult, setup: Setup,
@@ -83,11 +56,8 @@ def result_row(result: SchemeResult, setup: Setup,
     }
     for stage in ALL_STAGES:
         row[f"cycles_{stage}"] = totals.get(stage, 0.0)
-    row.update(result.stats.fault_summary())
-    row.update(result.stats.engine_summary())
-    row.update(result.stats.artifact_summary())
-    row.update(result.stats.serve_summary())
-    row.update(result.stats.pipeline_summary())
+    for group in SUMMARY_GROUPS:
+        row.update(result.stats.summary(group))
     return row
 
 
@@ -104,15 +74,13 @@ def failed_row(benchmark: str, scheme: str, setup: Setup,
         "benchmark": benchmark, "scheme": scheme,
         "num_gpus": setup.config.num_gpus, "scale": setup.scale,
         "status": "failed",
-        "job_attempts": getattr(error, "attempts", 0),
-        "job_retries": 0, "job_timeouts": 0, "job_resumed": False,
-        "sanitizer_accesses": 0,
-        "artifact_hits": 0, "artifact_misses": 0,
-        "artifact_evictions": 0, "artifact_disk_loads": 0,
-        "artifact_disk_corrupt": 0,
     })
-    row.update({column: 0 for column in SERVE_COLUMNS})
-    row.update({column: 0 for column in PIPELINE_COLUMNS})
+    # zero is written as integer 0 (flags as False), float counters too
+    blank = RunStats(num_gpus=0)
+    for group in _FAILED_ZERO_GROUPS:
+        row.update({column: value if isinstance(value, bool) else 0
+                    for column, value in blank.summary(group).items()})
+    row["job_attempts"] = getattr(error, "attempts", 0)
     return row
 
 

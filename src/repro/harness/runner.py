@@ -231,12 +231,7 @@ def run(scheme: str, trace: Trace, setup: Setup,
     def compute() -> SchemeResult:
         before = service.counters()
         result = build_scheme(scheme, setup).run(trace)
-        grew = service.counters().delta(before)
-        result.stats.artifact_hits = grew.hits
-        result.stats.artifact_misses = grew.misses
-        result.stats.artifact_evictions = grew.evictions
-        result.stats.artifact_disk_loads = grew.disk_loads
-        result.stats.artifact_disk_corrupt = grew.disk_corrupt
+        result.stats.stamp_store(service.counters().delta(before))
         return result
 
     if not use_cache:

@@ -171,7 +171,8 @@ class RenderService:
         """Drop stored artifacts — the single invalidation story.
 
         ``kind`` restricts the drop to one namespace (``"geometry"``,
-        ``"reference"``, ``"chopin-prep"``, ``"plan"``, ``"result"``);
+        ``"reference"``, ``"chopin-prep"``, ``"projection"``, ``"plan"``,
+        ``"result"``);
         omit it to clear everything, memory and disk tiers both.
         """
         self.store.reset(kind)

@@ -29,6 +29,7 @@ store across sessions must not die because one artifact rotted on disk.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -122,22 +123,13 @@ class StoreCounters:
     disk_corrupt: int = 0
 
     def snapshot(self) -> "StoreCounters":
-        return StoreCounters(hits=self.hits, misses=self.misses,
-                             evictions=self.evictions, puts=self.puts,
-                             disk_loads=self.disk_loads,
-                             disk_writes=self.disk_writes,
-                             disk_corrupt=self.disk_corrupt)
+        return dataclasses.replace(self)
 
     def delta(self, before: "StoreCounters") -> "StoreCounters":
         """Counter growth since an earlier :meth:`snapshot`."""
-        return StoreCounters(
-            hits=self.hits - before.hits,
-            misses=self.misses - before.misses,
-            evictions=self.evictions - before.evictions,
-            puts=self.puts - before.puts,
-            disk_loads=self.disk_loads - before.disk_loads,
-            disk_writes=self.disk_writes - before.disk_writes,
-            disk_corrupt=self.disk_corrupt - before.disk_corrupt)
+        return StoreCounters(**{
+            spec.name: getattr(self, spec.name) - getattr(before, spec.name)
+            for spec in dataclasses.fields(self)})
 
     @property
     def hit_rate(self) -> float:
@@ -147,12 +139,7 @@ class StoreCounters:
         return self.hits / lookups
 
     def to_dict(self) -> Dict[str, object]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "puts": self.puts,
-                "disk_loads": self.disk_loads,
-                "disk_writes": self.disk_writes,
-                "disk_corrupt": self.disk_corrupt,
-                "hit_rate": self.hit_rate}
+        return {**dataclasses.asdict(self), "hit_rate": self.hit_rate}
 
 
 class ArtifactStore:

@@ -749,11 +749,7 @@ class FrameServer:
         stats.serve_latency_p50_cycles = slo.p50_cycles
         stats.serve_latency_p95_cycles = slo.p95_cycles
         stats.serve_latency_p99_cycles = slo.p99_cycles
-        stats.artifact_hits = store_delta.hits
-        stats.artifact_misses = store_delta.misses
-        stats.artifact_evictions = store_delta.evictions
-        stats.artifact_disk_loads = store_delta.disk_loads
-        stats.artifact_disk_corrupt = store_delta.disk_corrupt
+        stats.stamp_store(store_delta)
         service_cycles = {bench: result.frame_cycles for bench, result
                           in sorted(self.rendered_results.items())}
         return ServeReport(

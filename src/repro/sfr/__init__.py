@@ -1,12 +1,12 @@
 """Split-frame-rendering schemes: duplication, GPUpd, CHOPIN, AFR."""
 
 from .base import (ReferencePass, SchemeResult, SFRScheme,
-                   build_shader_library, clear_reference_cache,
-                   reference_pass, render_reference_image)
+                   build_shader_library, reference_pass,
+                   render_reference_image)
 from .duplication import PrimitiveDuplication
-from .gpupd import GPUpd, IdealGPUpd, clear_projection_cache
+from .gpupd import GPUpd, IdealGPUpd
 from .chopin import (Chopin, ChopinOracle, ChopinRoundRobin, ChopinSampled,
-                     ChopinWithScheduler, IdealChopin, clear_chopin_cache)
+                     ChopinWithScheduler, IdealChopin)
 from .dfb import DistributedFramebufferChopin
 from .sort_middle import SortMiddle
 from .afr import AFRResult, AlternateFrameRendering, frame_render_cycles
@@ -29,9 +29,6 @@ __all__ = [
     "SFRScheme",
     "SortMiddle",
     "build_shader_library",
-    "clear_chopin_cache",
-    "clear_projection_cache",
-    "clear_reference_cache",
     "frame_render_cycles",
     "reference_pass",
     "render_reference_image",

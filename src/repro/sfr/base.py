@@ -19,7 +19,6 @@ functional pass (sort-last GPUs see partial depth).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -33,8 +32,8 @@ from ..timing.costs import CostModel
 from ..traces.trace import Trace
 
 __all__ = ["ReferencePass", "SFRScheme", "SchemeResult",
-           "build_shader_library", "clear_reference_cache",
-           "reference_pass", "render_reference_image"]
+           "build_shader_library", "reference_pass",
+           "render_reference_image"]
 
 
 @dataclass
@@ -61,20 +60,6 @@ def reference_pass(trace: Trace, config: SystemConfig,
     by (trace fingerprint, num_gpus, tile_size)."""
     return render_service().reference_pass(trace, config,
                                            use_cache=use_cache)
-
-
-def clear_reference_cache() -> None:
-    """Deprecated: use ``render_service().reset()`` instead.
-
-    The reference pass now lives in the content-addressed artifact store
-    alongside every other functional artifact; this shim drops only the
-    ``reference`` namespace, matching the old module cache's scope.
-    """
-    warnings.warn(
-        "clear_reference_cache() is deprecated; use "
-        "repro.render.render_service().reset() for the unified store",
-        DeprecationWarning, stacklevel=2)
-    render_service().reset("reference")
 
 
 def render_reference_image(trace: Trace,

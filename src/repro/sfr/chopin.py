@@ -168,15 +168,6 @@ class _DegradedPlan:
     recovery_cycles: float = 0.0
 
 
-def clear_chopin_cache() -> None:
-    """Drop cached CHOPIN functional preps from the artifact store.
-
-    Kept for callers that want a targeted invalidation;
-    ``render_service().reset()`` clears every namespace at once.
-    """
-    render_service().reset("chopin-prep")
-
-
 class Chopin(SFRScheme):
     """CHOPIN with naive direct-send composition (no composition scheduler)."""
 

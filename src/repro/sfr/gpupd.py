@@ -26,7 +26,7 @@ result (and depth-test behaviour) is identical to primitive duplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from ..geometry.primitives import DrawCommand
 from ..geometry.transform import (perspective_divide, to_screen,
                                   transform_positions)
 from ..raster.tiles import TileGrid
+from ..render import render_service
 from ..sim import Barrier, Countdown, Simulator
 from ..stats import (RunStats, STAGE_DISTRIBUTION, STAGE_FRAGMENT,
                      STAGE_GEOMETRY, STAGE_PROJECTION, TRAFFIC_PRIMITIVES,
@@ -87,17 +88,21 @@ class DrawProjection:
     dist_counts: np.ndarray           # (num_gpus, num_gpus) int, diag = 0
 
 
-_PROJECTION_CACHE: Dict[Tuple[int, int, int], List[DrawProjection]] = {}
-
-
 def projection_analysis(trace: Trace,
                         config: SystemConfig) -> List[DrawProjection]:
-    """Projection analysis for every draw (cached per trace/GPU-count)."""
-    key = (id(trace), config.num_gpus, config.tile_size)
-    if key in _PROJECTION_CACHE:
-        return _PROJECTION_CACHE[key]
-    grid = TileGrid(trace.width, trace.height, config.tile_size)
-    n = config.num_gpus
+    """Projection analysis for every draw. Stored in the render service's
+    artifact store, keyed by (trace fingerprint, num_gpus, tile_size)."""
+    return render_service().cached(
+        "projection",
+        {"trace": trace.fingerprint, "num_gpus": config.num_gpus,
+         "tile_size": config.tile_size},
+        lambda: _compute_projections(trace, config.num_gpus,
+                                     config.tile_size))
+
+
+def _compute_projections(trace: Trace, n: int,
+                         tile_size: int) -> List[DrawProjection]:
+    grid = TileGrid(trace.width, trace.height, tile_size)
     result: List[DrawProjection] = []
     for draw in trace.frame.draws:
         owners = triangle_owner_matrix(draw, grid, n, mvp=trace.camera)
@@ -110,12 +115,7 @@ def projection_analysis(trace: Trace,
                 dist[src] = owners[lo:hi].sum(axis=0)
             dist[src, src] = 0
         result.append(DrawProjection(owned_counts=owned, dist_counts=dist))
-    _PROJECTION_CACHE[key] = result
     return result
-
-
-def clear_projection_cache() -> None:
-    _PROJECTION_CACHE.clear()
 
 
 @dataclass

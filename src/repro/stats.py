@@ -10,13 +10,18 @@ The paper's figures slice execution time along two axes:
 
 :class:`RunStats` accumulates both, per GPU, and provides the aggregations the
 report layer prints.
+
+Every scalar counter :class:`RunStats` carries beyond those breakdowns is
+declared once, with :func:`counter`; the run journal (``to_dict`` /
+``from_dict``), the export groups (:meth:`RunStats.summary`) and the CSV
+columns built on them are all derived from those declarations.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 # Canonical stage names, in the order the paper's breakdown figures stack them.
 STAGE_GEOMETRY = "geometry"
@@ -40,6 +45,36 @@ TRAFFIC_COMPOSITION = "composition"
 TRAFFIC_PRIMITIVES = "primitives"
 TRAFFIC_SYNC = "sync"
 TRAFFIC_SCHEDULER = "scheduler"
+
+#: export groups, in the order their columns follow a result row's
+#: measurement columns
+SUMMARY_GROUPS = ("fault", "engine", "artifact", "serve", "pipeline")
+
+
+def counter(group: Optional[str] = None, default: object = 0, *,
+            journal: bool = True, export: Union[bool, str] = True,
+            required: bool = False):
+    """Declare one :class:`RunStats` counter field.
+
+    - ``group``: the export group (one of :data:`SUMMARY_GROUPS`) whose
+      summary and CSV columns carry the counter; ``None`` keeps it out of
+      every summary.
+    - ``default``: the zero value; its type is the coercion applied when
+      a journal is read back. Pass ``list`` for a list-valued counter,
+      which summaries export as its length.
+    - ``journal``: ``False`` for counters that are stamped after a
+      journaled run is replayed, so the journal never stores them.
+    - ``export``: ``False`` for journaled-only counters; a property name
+      exports that derived value in the counter's column slot instead.
+    - ``required``: the counter is in every journal ever written; others
+      default when an older journal lacks them.
+    """
+    metadata = {"group": group, "journal": journal,
+                "export": export if group is not None else False,
+                "required": required}
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
@@ -68,114 +103,138 @@ class GPUStats:
         """Fragments that survived any depth/stencil test (Fig 15)."""
         return self.fragments_passed_early_z + self.fragments_passed_late
 
+    def to_dict(self) -> Dict[str, object]:
+        # the instance dict holds exactly the dataclass fields
+        data = dict(vars(self))
+        for name in _GPU_DICTS:
+            data[name] = dict(data[name])
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "GPUStats":
+        gpu = cls()
+        for name, kind in _GPU_SCALARS:
+            setattr(gpu, name, kind(data[name]))
+        for name in _GPU_DICTS:
+            getattr(gpu, name).update(data[name])
+        return gpu
+
 
 @dataclass
 class RunStats:
-    """Statistics for a full simulated run on an N-GPU system."""
+    """Statistics for a full simulated run on an N-GPU system.
+
+    A new scalar counter is one :func:`counter` declaration below; the
+    journal, its export group's summary and the CSV columns follow.
+    """
 
     num_gpus: int
     gpus: List[GPUStats] = field(default_factory=list)
     #: end-to-end frame time in cycles (the critical path, not the sum)
-    frame_cycles: float = 0.0
-    composition_groups: int = 0
-    accelerated_groups: int = 0
+    frame_cycles: float = counter(default=0.0, required=True)
+    composition_groups: int = counter(required=True)
+    accelerated_groups: int = counter(required=True)
     #: per-draw (draw_index, triangles, geometry_cycles, total_cycles) samples,
     #: recorded when tracing is on (Fig 9)
     draw_samples: List[tuple] = field(default_factory=list)
 
     # -- fault injection / degraded mode (see repro.faults) ----------------
     #: link-level retransmissions caused by injected drop/corrupt errors
-    link_retries: int = 0
+    link_retries: int = counter("fault", required=True)
+    dropped_transfers: int = counter("fault", required=True)
+    corrupted_transfers: int = counter("fault", required=True)
     #: payload bytes streamed again due to retries (not counted as traffic)
-    retransmitted_bytes: float = 0.0
+    retransmitted_bytes: float = counter("fault", 0.0, required=True)
     #: cycles links spent in error detection + exponential backoff
-    backoff_cycles: float = 0.0
-    dropped_transfers: int = 0
-    corrupted_transfers: int = 0
-    #: GPUs that fail-stopped during this run
-    failed_gpus: List[int] = field(default_factory=list)
+    backoff_cycles: float = counter("fault", 0.0, required=True)
+    #: GPUs that fail-stopped during this run (exported as a count)
+    failed_gpus: List[int] = counter("fault", list, required=True)
     #: draw commands re-rendered on survivors after a fail-stop
-    redistributed_draws: int = 0
+    redistributed_draws: int = counter("fault", required=True)
     #: engine cycles of re-rendered (recovery) work across survivors
-    recovery_cycles: float = 0.0
-    #: fault-free frame time, recorded when a degraded run was compared
-    baseline_frame_cycles: float = 0.0
+    recovery_cycles: float = counter("fault", 0.0, required=True)
+    #: fault-free frame time, recorded when a degraded run was compared;
+    #: its column carries the derived recovery overhead instead
+    baseline_frame_cycles: float = counter(
+        "fault", 0.0, export="recovery_overhead_cycles", required=True)
     #: position of this frame in a multi-frame soak run (0 outside soak)
-    frame_index: int = 0
+    frame_index: int = counter("fault")
     #: failure-trace events that fell inside this frame's window (soak runs)
-    fault_events: int = 0
+    fault_events: int = counter("fault")
 
     # -- harness supervision (see repro.harness.engine) --------------------
+    # the engine stamps these after a journal replay, so none is journaled
     #: attempts the job that produced this run consumed (1 = first try)
-    job_attempts: int = 0
+    job_attempts: int = counter("engine", journal=False)
     #: attempts that were retried after a transient failure
-    job_retries: int = 0
+    job_retries: int = counter("engine", journal=False)
     #: attempts killed for exceeding the wall-clock budget
-    job_timeouts: int = 0
+    job_timeouts: int = counter("engine", journal=False)
     #: True when this result was replayed from a run journal, not simulated
-    job_resumed: bool = False
+    job_resumed: bool = counter("engine", False, journal=False)
 
     # -- race-sanitizer coverage (see repro.analysis.sanitizer) ------------
     #: shared-state accesses the race sanitizer recorded during this run
     #: (0 when the run was not sanitized — coverage, not a conflict count)
-    sanitizer_accesses: int = 0
+    sanitizer_accesses: int = counter("engine")
 
     # -- artifact store usage (see repro.render.store) ---------------------
+    # each ``artifact_<x>`` mirrors ``StoreCounters.<x>`` (stamp_store)
     #: store lookups this run served from cache (geometry artifacts,
     #: reference passes, functional preps) / recomputed / evicted / read
     #: back from the disk tier; all 0 when the result itself was a hit
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_evictions: int = 0
-    artifact_disk_loads: int = 0
+    artifact_hits: int = counter("artifact")
+    artifact_misses: int = counter("artifact")
+    artifact_evictions: int = counter("artifact")
+    artifact_disk_loads: int = counter("artifact")
     #: disk-spill files rejected by the integrity check during this run
     #: (each one turned a would-be disk hit into a recompute)
-    artifact_disk_corrupt: int = 0
+    artifact_disk_corrupt: int = counter("artifact")
 
     # -- frame serving (see repro.serve) ------------------------------------
     #: request accounting for a serve run: submissions, admissions, refusals
     #: at the door (queue-full rejects, budget throttles), post-admission
     #: drops (sheds), and requests that were re-queued after a GPU failure.
     #: All 0 for ordinary batch runs.
-    serve_requests: int = 0
-    serve_admitted: int = 0
-    serve_completed: int = 0
-    serve_rejected: int = 0
-    serve_throttled: int = 0
-    serve_shed: int = 0
-    serve_requeued: int = 0
+    serve_requests: int = counter("serve")
+    serve_admitted: int = counter("serve")
+    serve_completed: int = counter("serve")
+    serve_rejected: int = counter("serve")
+    serve_throttled: int = counter("serve")
+    serve_shed: int = counter("serve")
+    serve_requeued: int = counter("serve")
     #: batches dispatched to render groups
-    serve_batches: int = 0
+    serve_batches: int = counter("serve")
     #: peak admission-queue depth observed
-    serve_queue_peak: int = 0
+    serve_queue_peak: int = counter("serve")
     #: completed requests that finished after their deadline
-    serve_deadline_misses: int = 0
+    serve_deadline_misses: int = counter("serve")
     #: degraded-mode events (watchdog trips, post-run stalled sweeps)
-    serve_degraded_events: int = 0
+    serve_degraded_events: int = counter("serve")
     #: request latency percentiles over completed requests (virtual cycles)
-    serve_latency_p50_cycles: float = 0.0
-    serve_latency_p95_cycles: float = 0.0
-    serve_latency_p99_cycles: float = 0.0
+    serve_latency_p50_cycles: float = counter("serve", 0.0)
+    serve_latency_p95_cycles: float = counter("serve", 0.0)
+    serve_latency_p99_cycles: float = counter("serve", 0.0)
     #: composition cycles a serve batch overlapped with the next request's
     #: geometry (cross-request group pipelining) / batches that overlapped
-    serve_overlap_cycles: float = 0.0
-    serve_overlapped_batches: int = 0
+    serve_overlap_cycles: float = counter("serve", 0.0)
+    serve_overlapped_batches: int = counter("serve")
 
     # -- cross-group pipelining (see repro.sfr.chopin / repro.sfr.dfb) ------
     #: configured in-flight group window (0 = unbounded)
-    pipeline_depth: int = 0
+    pipeline_depth: int = counter("pipeline")
     #: cycles GPUs spent stalled at a full pipeline window before they
     #: could start rendering the next group
-    pipeline_stall_cycles: float = 0.0
+    pipeline_stall_cycles: float = counter("pipeline", 0.0)
     #: composition cycles that ran concurrently with later groups'
     #: rendering on the same GPU (the overlap pipelining buys)
-    comp_overlap_cycles: float = 0.0
+    comp_overlap_cycles: float = counter("pipeline", 0.0)
     #: total GPU-idle cycles over the frame: num_gpus * frame_cycles minus
     #: busy cycles across all stages
-    idle_cycles: float = 0.0
+    idle_cycles: float = counter("pipeline", 0.0)
     #: high-water mark of concurrently in-flight composition groups in the
     #: (windowed) image composition scheduler table
-    scheduler_groups_peak: int = 0
+    scheduler_groups_peak: int = counter("pipeline")
 
     def __post_init__(self) -> None:
         if not self.gpus:
@@ -229,216 +288,55 @@ class RunStats:
         return bool(self.link_retries or self.failed_gpus
                     or self.redistributed_draws)
 
-    def fault_summary(self) -> Dict[str, float]:
-        """Flat counters for reports/exports (empty-ish when fault-free)."""
-        return {
-            "link_retries": self.link_retries,
-            "dropped_transfers": self.dropped_transfers,
-            "corrupted_transfers": self.corrupted_transfers,
-            "retransmitted_bytes": self.retransmitted_bytes,
-            "backoff_cycles": self.backoff_cycles,
-            "failed_gpus": len(self.failed_gpus),
-            "redistributed_draws": self.redistributed_draws,
-            "recovery_cycles": self.recovery_cycles,
-            "recovery_overhead_cycles": self.recovery_overhead_cycles,
-            "frame_index": self.frame_index,
-            "fault_events": self.fault_events,
-        }
+    def summary(self, group: str) -> Dict[str, object]:
+        """Flat counters of one export group, keyed by CSV column.
 
-    def engine_summary(self) -> Dict[str, object]:
-        """Supervision counters for reports/exports (zero when unsupervised)."""
-        return {
-            "job_attempts": self.job_attempts,
-            "job_retries": self.job_retries,
-            "job_timeouts": self.job_timeouts,
-            "job_resumed": self.job_resumed,
-            "sanitizer_accesses": self.sanitizer_accesses,
-        }
+        Zero when the group's subsystem took no part in the run;
+        list-valued counters export their length (see
+        :data:`SUMMARY_COLUMNS`).
+        """
+        row: Dict[str, object] = {}
+        for column in SUMMARY_COLUMNS[group]:
+            value = getattr(self, column)
+            row[column] = len(value) if isinstance(value, list) else value
+        return row
 
-    def artifact_summary(self) -> Dict[str, int]:
-        """Artifact-store counters for reports/exports (zero on a hit)."""
-        return {
-            "artifact_hits": self.artifact_hits,
-            "artifact_misses": self.artifact_misses,
-            "artifact_evictions": self.artifact_evictions,
-            "artifact_disk_loads": self.artifact_disk_loads,
-            "artifact_disk_corrupt": self.artifact_disk_corrupt,
-        }
-
-    def serve_summary(self) -> Dict[str, object]:
-        """Frame-serving counters for reports/exports (zero outside serve)."""
-        return {
-            "serve_requests": self.serve_requests,
-            "serve_admitted": self.serve_admitted,
-            "serve_completed": self.serve_completed,
-            "serve_rejected": self.serve_rejected,
-            "serve_throttled": self.serve_throttled,
-            "serve_shed": self.serve_shed,
-            "serve_requeued": self.serve_requeued,
-            "serve_batches": self.serve_batches,
-            "serve_queue_peak": self.serve_queue_peak,
-            "serve_deadline_misses": self.serve_deadline_misses,
-            "serve_degraded_events": self.serve_degraded_events,
-            "serve_latency_p50_cycles": self.serve_latency_p50_cycles,
-            "serve_latency_p95_cycles": self.serve_latency_p95_cycles,
-            "serve_latency_p99_cycles": self.serve_latency_p99_cycles,
-            "serve_overlap_cycles": self.serve_overlap_cycles,
-            "serve_overlapped_batches": self.serve_overlapped_batches,
-        }
-
-    def pipeline_summary(self) -> Dict[str, object]:
-        """Cross-group pipelining counters for reports/exports."""
-        return {
-            "pipeline_depth": self.pipeline_depth,
-            "pipeline_stall_cycles": self.pipeline_stall_cycles,
-            "comp_overlap_cycles": self.comp_overlap_cycles,
-            "idle_cycles": self.idle_cycles,
-            "scheduler_groups_peak": self.scheduler_groups_peak,
-        }
+    def stamp_store(self, delta) -> None:
+        """Stamp a :class:`~repro.render.store.StoreCounters` delta onto
+        the artifact group (``artifact_<x>`` takes the delta's ``<x>``)."""
+        for name, store_field in _STORE_COUNTERS:
+            setattr(self, name, getattr(delta, store_field))
 
     # -- serialization (run journal, see repro.harness.engine) -------------
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (everything except draw samples).
+        """JSON-serializable snapshot of every journaled counter and the
+        per-GPU breakdowns (draw samples are not kept).
 
         Floats survive a ``json`` round trip bit-exactly, so a journaled
         run replays with identical cycle counts.
         """
-        return {
-            "num_gpus": self.num_gpus,
-            "frame_cycles": self.frame_cycles,
-            "composition_groups": self.composition_groups,
-            "accelerated_groups": self.accelerated_groups,
-            "link_retries": self.link_retries,
-            "retransmitted_bytes": self.retransmitted_bytes,
-            "backoff_cycles": self.backoff_cycles,
-            "dropped_transfers": self.dropped_transfers,
-            "corrupted_transfers": self.corrupted_transfers,
-            "failed_gpus": list(self.failed_gpus),
-            "redistributed_draws": self.redistributed_draws,
-            "recovery_cycles": self.recovery_cycles,
-            "baseline_frame_cycles": self.baseline_frame_cycles,
-            "frame_index": self.frame_index,
-            "fault_events": self.fault_events,
-            "sanitizer_accesses": self.sanitizer_accesses,
-            "artifact_hits": self.artifact_hits,
-            "artifact_misses": self.artifact_misses,
-            "artifact_evictions": self.artifact_evictions,
-            "artifact_disk_loads": self.artifact_disk_loads,
-            "artifact_disk_corrupt": self.artifact_disk_corrupt,
-            "serve_requests": self.serve_requests,
-            "serve_admitted": self.serve_admitted,
-            "serve_completed": self.serve_completed,
-            "serve_rejected": self.serve_rejected,
-            "serve_throttled": self.serve_throttled,
-            "serve_shed": self.serve_shed,
-            "serve_requeued": self.serve_requeued,
-            "serve_batches": self.serve_batches,
-            "serve_queue_peak": self.serve_queue_peak,
-            "serve_deadline_misses": self.serve_deadline_misses,
-            "serve_degraded_events": self.serve_degraded_events,
-            "serve_latency_p50_cycles": self.serve_latency_p50_cycles,
-            "serve_latency_p95_cycles": self.serve_latency_p95_cycles,
-            "serve_latency_p99_cycles": self.serve_latency_p99_cycles,
-            "serve_overlap_cycles": self.serve_overlap_cycles,
-            "serve_overlapped_batches": self.serve_overlapped_batches,
-            "pipeline_depth": self.pipeline_depth,
-            "pipeline_stall_cycles": self.pipeline_stall_cycles,
-            "comp_overlap_cycles": self.comp_overlap_cycles,
-            "idle_cycles": self.idle_cycles,
-            "scheduler_groups_peak": self.scheduler_groups_peak,
-            "gpus": [{
-                "stage_cycles": dict(g.stage_cycles),
-                "traffic_bytes": dict(g.traffic_bytes),
-                "triangles_processed": g.triangles_processed,
-                "fragments_generated": g.fragments_generated,
-                "fragments_early_z_tested": g.fragments_early_z_tested,
-                "fragments_passed_early_z": g.fragments_passed_early_z,
-                "fragments_passed_late": g.fragments_passed_late,
-                "fragments_shaded": g.fragments_shaded,
-                "draws_executed": g.draws_executed,
-                "busy_until": g.busy_until,
-            } for g in self.gpus],
-        }
+        state = vars(self)
+        data: Dict[str, object] = {"num_gpus": self.num_gpus}
+        data.update({name: state[name] for name in _JOURNAL_NAMES})
+        for name in _JOURNALED_LISTS:
+            data[name] = list(data[name])
+        data["gpus"] = [gpu.to_dict() for gpu in self.gpus]
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunStats":
-        """Rebuild a :meth:`to_dict` snapshot (draw samples are not kept)."""
-        stats = cls(num_gpus=int(data["num_gpus"]),
-                    frame_cycles=float(data["frame_cycles"]),
-                    composition_groups=int(data["composition_groups"]),
-                    accelerated_groups=int(data["accelerated_groups"]),
-                    link_retries=int(data["link_retries"]),
-                    retransmitted_bytes=float(data["retransmitted_bytes"]),
-                    backoff_cycles=float(data["backoff_cycles"]),
-                    dropped_transfers=int(data["dropped_transfers"]),
-                    corrupted_transfers=int(data["corrupted_transfers"]),
-                    failed_gpus=[int(g) for g in data["failed_gpus"]],
-                    redistributed_draws=int(data["redistributed_draws"]),
-                    recovery_cycles=float(data["recovery_cycles"]),
-                    baseline_frame_cycles=float(
-                        data["baseline_frame_cycles"]),
-                    # absent in journals written before these fields existed
-                    frame_index=int(data.get("frame_index", 0)),
-                    fault_events=int(data.get("fault_events", 0)),
-                    sanitizer_accesses=int(
-                        data.get("sanitizer_accesses", 0)),
-                    artifact_hits=int(data.get("artifact_hits", 0)),
-                    artifact_misses=int(data.get("artifact_misses", 0)),
-                    artifact_evictions=int(
-                        data.get("artifact_evictions", 0)),
-                    artifact_disk_loads=int(
-                        data.get("artifact_disk_loads", 0)),
-                    artifact_disk_corrupt=int(
-                        data.get("artifact_disk_corrupt", 0)),
-                    serve_requests=int(data.get("serve_requests", 0)),
-                    serve_admitted=int(data.get("serve_admitted", 0)),
-                    serve_completed=int(data.get("serve_completed", 0)),
-                    serve_rejected=int(data.get("serve_rejected", 0)),
-                    serve_throttled=int(data.get("serve_throttled", 0)),
-                    serve_shed=int(data.get("serve_shed", 0)),
-                    serve_requeued=int(data.get("serve_requeued", 0)),
-                    serve_batches=int(data.get("serve_batches", 0)),
-                    serve_queue_peak=int(data.get("serve_queue_peak", 0)),
-                    serve_deadline_misses=int(
-                        data.get("serve_deadline_misses", 0)),
-                    serve_degraded_events=int(
-                        data.get("serve_degraded_events", 0)),
-                    serve_latency_p50_cycles=float(
-                        data.get("serve_latency_p50_cycles", 0.0)),
-                    serve_latency_p95_cycles=float(
-                        data.get("serve_latency_p95_cycles", 0.0)),
-                    serve_latency_p99_cycles=float(
-                        data.get("serve_latency_p99_cycles", 0.0)),
-                    serve_overlap_cycles=float(
-                        data.get("serve_overlap_cycles", 0.0)),
-                    serve_overlapped_batches=int(
-                        data.get("serve_overlapped_batches", 0)),
-                    pipeline_depth=int(data.get("pipeline_depth", 0)),
-                    pipeline_stall_cycles=float(
-                        data.get("pipeline_stall_cycles", 0.0)),
-                    comp_overlap_cycles=float(
-                        data.get("comp_overlap_cycles", 0.0)),
-                    idle_cycles=float(data.get("idle_cycles", 0.0)),
-                    scheduler_groups_peak=int(
-                        data.get("scheduler_groups_peak", 0)))
-        stats.gpus = []
-        for entry in data["gpus"]:
-            gpu = GPUStats(
-                triangles_processed=int(entry["triangles_processed"]),
-                fragments_generated=int(entry["fragments_generated"]),
-                fragments_early_z_tested=int(
-                    entry["fragments_early_z_tested"]),
-                fragments_passed_early_z=int(
-                    entry["fragments_passed_early_z"]),
-                fragments_passed_late=int(entry["fragments_passed_late"]),
-                fragments_shaded=int(entry["fragments_shaded"]),
-                draws_executed=int(entry["draws_executed"]),
-                busy_until=float(entry["busy_until"]))
-            gpu.stage_cycles.update(entry["stage_cycles"])
-            gpu.traffic_bytes.update(entry["traffic_bytes"])
-            stats.gpus.append(gpu)
-        return stats
+        """Rebuild a :meth:`to_dict` snapshot (draw samples are not kept).
+
+        Counters added after the original journal format take their
+        default when an older journal lacks them.
+        """
+        return cls(
+            num_gpus=int(data["num_gpus"]),
+            gpus=[GPUStats.from_dict(entry) for entry in data["gpus"]],
+            **{name: kind(data[name] if required
+                          else data.get(name, default))
+               for name, kind, default, required in _JOURNALED})
 
     @property
     def total_fragments_passed(self) -> int:
@@ -451,6 +349,44 @@ class RunStats:
     @property
     def total_triangles(self) -> int:
         return sum(g.triangles_processed for g in self.gpus)
+
+
+def _default(spec) -> object:
+    return spec.default_factory() if spec.default is MISSING else spec.default
+
+
+#: the per-GPU breakdown dicts, journaled as plain copies
+_GPU_DICTS = tuple(spec.name for spec in fields(GPUStats)
+                   if isinstance(_default(spec), dict))
+#: (name, coercion) of every other GPUStats field
+_GPU_SCALARS = tuple((spec.name, type(_default(spec)))
+                     for spec in fields(GPUStats)
+                     if spec.name not in _GPU_DICTS)
+
+_COUNTERS = tuple(spec for spec in fields(RunStats)
+                  if "journal" in spec.metadata)
+
+#: (name, coercion, default, required) of every journaled counter
+_JOURNALED = tuple((spec.name, type(_default(spec)), _default(spec),
+                    spec.metadata["required"])
+                   for spec in _COUNTERS if spec.metadata["journal"])
+_JOURNAL_NAMES = tuple(entry[0] for entry in _JOURNALED)
+#: list-valued journaled counters, copied so a snapshot never aliases
+_JOURNALED_LISTS = tuple(name for name, kind, _, _ in _JOURNALED
+                         if kind is list)
+
+#: export group -> the columns its summary carries, in declaration order
+SUMMARY_COLUMNS: Dict[str, tuple] = {
+    group: tuple(spec.name if spec.metadata["export"] is True
+                 else spec.metadata["export"]
+                 for spec in _COUNTERS
+                 if spec.metadata["group"] == group
+                 and spec.metadata["export"])
+    for group in SUMMARY_GROUPS}
+
+#: (RunStats counter, StoreCounters field) pairs stamp_store copies
+_STORE_COUNTERS = tuple((name, name.removeprefix("artifact_"))
+                        for name in SUMMARY_COLUMNS["artifact"])
 
 
 def speedup(baseline: RunStats, candidate: RunStats) -> float:

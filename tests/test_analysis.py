@@ -449,10 +449,10 @@ class TestSanitizerCoverage:
     def test_exported_in_engine_summary_and_csv(self, tmp_path):
         import csv
 
-        from repro.harness.export import (ENGINE_COLUMNS, result_row,
-                                          write_csv)
+        from repro.harness.export import result_row, write_csv
         from repro.harness.runner import run_benchmark
-        assert "sanitizer_accesses" in ENGINE_COLUMNS
+        from repro.stats import RunStats
+        assert "sanitizer_accesses" in RunStats(num_gpus=1).summary("engine")
         setup = make_setup("tiny", num_gpus=2, sanitize=True)
         result = run_benchmark("chopin", "cod2", setup)
         row = result_row(result, setup, result.frame_cycles)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.workflow import GroupMode
 from repro.harness import make_setup
 from repro.sfr import Chopin, ChopinRoundRobin, ChopinWithScheduler
-from repro.sfr.chopin import clear_chopin_cache
+from repro.render import render_service
 from repro.traces import load_benchmark
 
 
@@ -61,7 +61,7 @@ class TestAssignment:
 
 class TestFunctionalPrep:
     def test_prep_cached_across_variants(self, setup, trace):
-        clear_chopin_cache()
+        render_service().reset("chopin-prep")
         naive = Chopin(setup.config, setup.costs)
         scheduled = ChopinWithScheduler(setup.config, setup.costs)
         prep_a = naive._functional_pass(trace)

@@ -1,11 +1,15 @@
 """GPUpd internals: projection analysis, batching, overlap computation."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.geometry import DrawCommand
 from repro.harness import make_setup
 from repro.raster.tiles import TileGrid
+from repro.render import RenderService, render_service
+from repro.render import service as service_module
 from repro.sfr import GPUpd
 from repro.sfr.gpupd import projection_analysis, triangle_owner_matrix
 from repro.traces import load_benchmark
@@ -73,6 +77,28 @@ class TestProjectionAnalysis:
         trace = load_benchmark("cod2", "tiny")
         assert projection_analysis(trace, setup.config) \
             is projection_analysis(trace, setup.config)
+
+    def test_reset_forces_recompute(self, monkeypatch):
+        monkeypatch.setattr(service_module, "_SERVICE", RenderService())
+        setup = make_setup("tiny", num_gpus=4)
+        trace = load_benchmark("cod2", "tiny")
+        first = projection_analysis(trace, setup.config)
+        render_service().reset()
+        misses = render_service().counters().misses
+        second = projection_analysis(trace, setup.config)
+        assert second is not first
+        assert render_service().counters().misses == misses + 1
+        for a, b in zip(first, second):
+            assert np.array_equal(a.owned_counts, b.owned_counts)
+            assert np.array_equal(a.dist_counts, b.dist_counts)
+
+    def test_keyed_by_content_not_identity(self, monkeypatch):
+        monkeypatch.setattr(service_module, "_SERVICE", RenderService())
+        config = make_setup("tiny", num_gpus=4).config
+        trace = load_benchmark("cod2", "tiny")
+        clone = copy.deepcopy(trace)
+        assert projection_analysis(clone, config) \
+            is projection_analysis(trace, config)
 
 
 class TestBatching:

@@ -21,7 +21,7 @@ import pytest
 from repro.core.composition_scheduler import ImageCompositionScheduler
 from repro.core.workflow import PipelineWindow
 from repro.errors import ConfigError, SchedulingError
-from repro.harness.export import COLUMNS, PIPELINE_COLUMNS, SERVE_SESSION_COLUMNS
+from repro.harness.export import SERVE_SESSION_COLUMNS
 from repro.harness.runner import make_setup, run
 from repro.serve import (FrameServer, LoadProfile, calibrate_service_cycles,
                          generate_workload)
@@ -248,14 +248,6 @@ class TestPipelineDepthEndToEnd:
 
 
 class TestPipelineExportSchema:
-    def test_pipeline_columns_in_export_schema(self):
-        for column in PIPELINE_COLUMNS:
-            assert column in COLUMNS
-
-    def test_pipeline_summary_matches_columns(self):
-        summary = RunStats(num_gpus=4).pipeline_summary()
-        assert set(summary) == set(PIPELINE_COLUMNS)
-
     def test_serve_session_schema_has_overlap_columns(self):
         assert "overlap_cycles" in SERVE_SESSION_COLUMNS
         assert "overlapped_batches" in SERVE_SESSION_COLUMNS
@@ -270,7 +262,7 @@ class TestPipelineExportSchema:
         stats.serve_overlap_cycles = 42.0
         stats.serve_overlapped_batches = 7
         clone = RunStats.from_dict(stats.to_dict())
-        assert clone.pipeline_summary() == stats.pipeline_summary()
+        assert clone.summary("pipeline") == stats.summary("pipeline")
         assert clone.serve_overlap_cycles == 42.0
         assert clone.serve_overlapped_batches == 7
 

@@ -209,17 +209,6 @@ class TestEnginePrewarm:
 
 
 class TestDeprecations:
-    def test_clear_reference_cache_warns_and_delegates(self, fresh_service):
-        from repro.sfr import clear_reference_cache, reference_pass
-        trace = load_benchmark("wolf", "tiny")
-        reference_pass(trace, make_setup("tiny", num_gpus=4).config)
-        assert any(key.startswith("reference-")
-                   for key in fresh_service.store._entries)
-        with pytest.warns(DeprecationWarning):
-            clear_reference_cache()
-        assert not any(key.startswith("reference-")
-                       for key in fresh_service.store._entries)
-
     def test_render_path_emits_no_deprecation_warnings(self, fresh_service):
         trace = load_benchmark("wolf", "tiny")
         with warnings.catch_warnings():

@@ -1,10 +1,12 @@
 """Statistics containers and aggregation helpers."""
 
+import dataclasses
+
 import pytest
 
 from repro.stats import (ALL_STAGES, GPUStats, RunStats, STAGE_FRAGMENT,
-                         STAGE_GEOMETRY, TRAFFIC_COMPOSITION, TRAFFIC_SYNC,
-                         gmean, normalize, speedup)
+                         STAGE_GEOMETRY, SUMMARY_GROUPS, TRAFFIC_COMPOSITION,
+                         TRAFFIC_SYNC, gmean, normalize, speedup)
 
 
 class TestGPUStats:
@@ -48,6 +50,81 @@ class TestRunStats:
     def test_all_stages_constant_covers_known_stages(self):
         assert STAGE_GEOMETRY in ALL_STAGES
         assert len(ALL_STAGES) == 6
+
+
+def _declared_counters():
+    return [spec for spec in dataclasses.fields(RunStats)
+            if "journal" in spec.metadata]
+
+
+def _non_default(spec):
+    default = (spec.default_factory() if spec.default is dataclasses.MISSING
+               else spec.default)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, list):
+        return [1, 3]
+    return 7.5 if isinstance(default, float) else 7
+
+
+class TestCounterDeclarations:
+    """Every declared counter reaches the journal and the CSV columns
+    unless its declaration says otherwise."""
+
+    def test_every_scalar_field_is_declared(self):
+        undeclared = {spec.name for spec in dataclasses.fields(RunStats)
+                      if "journal" not in spec.metadata}
+        assert undeclared == {"num_gpus", "gpus", "draw_samples"}
+
+    def test_every_counter_round_trips_unless_unjournaled(self):
+        stats = RunStats(num_gpus=2)
+        counters = _declared_counters()
+        for spec in counters:
+            setattr(stats, spec.name, _non_default(spec))
+        clone = RunStats.from_dict(stats.to_dict())
+        for spec in counters:
+            if spec.metadata["journal"]:
+                assert getattr(clone, spec.name) == _non_default(spec), \
+                    spec.name
+            else:
+                assert spec.name not in stats.to_dict()
+                assert getattr(clone, spec.name) != _non_default(spec), \
+                    spec.name
+
+    def test_journals_without_later_counters_load_their_defaults(self):
+        snapshot = RunStats(num_gpus=2).to_dict()
+        for spec in _declared_counters():
+            if not spec.metadata["journal"]:
+                continue
+            old = dict(snapshot)
+            del old[spec.name]
+            if spec.metadata["required"]:
+                with pytest.raises(KeyError):
+                    RunStats.from_dict(old)
+            else:
+                assert RunStats.from_dict(old) == RunStats(num_gpus=2)
+
+    def test_every_counter_is_a_column_unless_unexported(self):
+        from repro.harness.export import COLUMNS
+        for spec in _declared_counters():
+            export = spec.metadata["export"]
+            if export is True:
+                assert spec.name in COLUMNS, spec.name
+            elif export:
+                # exported as a derived value under another column
+                assert export in COLUMNS, export
+                assert spec.name not in COLUMNS, spec.name
+
+    def test_summaries_partition_the_counter_columns(self):
+        from repro.harness.export import COLUMNS
+        stats = RunStats(num_gpus=2)
+        grouped = [column for group in SUMMARY_GROUPS
+                   for column in stats.summary(group)]
+        assert len(grouped) == len(set(grouped))
+        assert tuple(grouped) == COLUMNS[-len(grouped):]
+        assert all(isinstance(value, (int, float))
+                   for group in SUMMARY_GROUPS
+                   for value in stats.summary(group).values())
 
 
 class TestAggregations:
