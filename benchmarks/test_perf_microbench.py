@@ -13,7 +13,7 @@ from repro.composition import SubImage, binary_swap, direct_send
 from repro.geometry import BlendOp
 from repro.harness import build_scheme, make_setup
 from repro.harness.runner import clear_result_cache
-from repro.raster.rasterizer import rasterize_triangle
+from repro.raster.rasterizer import rasterize_triangles
 from repro.sim import Simulator, Resource
 from repro.traces import load_benchmark
 
@@ -58,13 +58,17 @@ def test_perf_resource_contention(benchmark):
 
 
 def test_perf_rasterizer(benchmark):
-    """Rasterize a 64x64-pixel triangle."""
-    xy = np.array([[2, 2], [62, 4], [20, 60]], dtype=np.float32)
-    depth = np.array([0.2, 0.4, 0.6], dtype=np.float32)
-    colors = np.eye(3, 4, dtype=np.float32)
+    """Rasterize one 64-triangle draw (a mesh-like mix of sizes) at 64x64."""
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(0, 64, size=(64, 1, 2))
+    xy = (centers + rng.normal(0, 6, size=(64, 3, 2))).astype(np.float32)
+    depth = rng.random((64, 3), dtype=np.float32)
+    colors = rng.random((64, 3, 4), dtype=np.float32)
+    live = np.ones(64, dtype=bool)
 
-    frags = benchmark(rasterize_triangle, xy, depth, colors, 64, 64)
-    assert frags.count > 500
+    tri, xs, _, _, _ = benchmark(rasterize_triangles, xy, depth, colors,
+                                 live, 64, 64)
+    assert xs.size > 500 and np.unique(tri).size > 32
 
 
 def test_perf_direct_send_compositor(benchmark):

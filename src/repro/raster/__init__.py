@@ -1,15 +1,14 @@
 """Rasterization substrate: tiling, the rasterizer, the functional pipeline."""
 
 from .pipeline import DrawMetrics, GraphicsPipeline, GroupMetrics
-from .rasterizer import FragmentBatch, estimate_coverage, rasterize_triangle
+from .rasterizer import estimate_coverage, rasterize_triangles
 from .tiles import TileGrid
 
 __all__ = [
     "DrawMetrics",
-    "FragmentBatch",
     "GraphicsPipeline",
     "GroupMetrics",
     "TileGrid",
     "estimate_coverage",
-    "rasterize_triangle",
+    "rasterize_triangles",
 ]

@@ -107,8 +107,10 @@ class DrawArtifact:
     #: (T, 4) float32 screen bounds [xmin, ymin, xmax, ymax] per triangle
     bounds: np.ndarray
     #: (T,) bool — triangle has a non-empty clamped pixel bbox and
-    #: non-zero area; False triangles rasterize to zero fragments and
-    #: the fragment phase skips them outright
+    #: non-zero area. The fragment phase hands it to
+    #: :func:`~repro.raster.rasterizer.rasterize_triangles`, which
+    #: rasterizes only the True triangles (False ones would produce no
+    #: fragments anyway) in one batch per draw
     live: np.ndarray
 
     @property

@@ -8,14 +8,24 @@ perspective divide, screen mapping, and tile binning, producing a
 ``fragment_phase`` is the back half: rasterization, early/late depth
 testing, shading and blending of one artifact against a surface pool.
 It is subset-dependent (the bound depth buffer encodes which draws this
-GPU has seen) so it always runs live; the artifact's per-triangle
-``live`` mask lets it skip triangles whose clamped screen bbox is empty
-without calling the rasterizer.
+GPU has seen) so it always runs live. One
+:func:`~repro.raster.rasterizer.rasterize_triangles` call turns the
+artifact's ``live`` triangles into a single fragment stream in
+submission order.
 
-Count semantics are bit-compatible with the monolithic pipeline:
-``triangles_rasterized`` increments before owner masking, fragment
-counts after, and the Fig 16 retained-cull RNG draws once per rasterized
-triangle in submission order.
+Count semantics are those of rendering the triangles one at a time, in
+submission order, bit for bit. The fragment stream is cut into *rank
+layers*: layer r holds each fragment that is the r-th to land on its
+pixel. A layer's pixels are distinct, so one vectorized depth test,
+shade and blend per layer leaves every pixel as the in-order loop
+would, for every depth function, blend operator, early/late Z and
+depth write. The counters are sums over fragments, so the processing
+order does not move them. ``triangles_rasterized`` counts triangles
+that produced at least one fragment before owner masking; fragment
+counts are taken after it. Under early Z, the Fig 16 retained-cull RNG
+draws once per owned fragment, in one ``rng.random(n)`` call per draw
+in submission order; per-triangle calls in that order draw the same
+stream, so the Fig 16 outputs do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -32,8 +42,11 @@ from ..geometry.primitives import BlendOp, DrawCommand
 from ..geometry.transform import (perspective_divide, to_screen,
                                   transform_positions, triangle_screen_bounds)
 from ..shading.shaders import ShaderLibrary
-from ..raster.rasterizer import rasterize_triangle
+from ..raster.rasterizer import rasterize_triangles
 from .artifact import DrawArtifact, DrawMetrics, empty_artifact
+
+#: channel offsets of one RGBA pixel in a flat (H * W * 4) color index
+_RGBA = np.arange(4)
 
 
 def geometry_phase(draw: DrawCommand,  # effect: pure
@@ -122,94 +135,131 @@ def fragment_phase(artifact: DrawArtifact, draw: DrawCommand,
     if artifact.num_triangles == 0:
         return metrics
 
-    xy, depth, colors = artifact.xy, artifact.depth, artifact.colors
-    live = artifact.live
     state = draw.state
     target = surfaces.render_target(state.render_target)
     depth_buf = surfaces.depth_buffer(state.depth_buffer)
     shader = shaders.shader_for(draw.texture_id)
-    retain = retained_cull_fraction
-    if retain > 0.0 and rng is None:
-        rng = np.random.default_rng(0)
+    tri, xs, ys, depths, colors = rasterize_triangles(
+        artifact.xy, artifact.depth, artifact.colors, artifact.live,
+        width, height)
+    if tri.size == 0:
+        return metrics
+    metrics.triangles_rasterized = \
+        int(np.count_nonzero(tri[1:] != tri[:-1])) + 1
+    pixels = ys.astype(np.int64) * width + xs
+    if owner_mask is not None:
+        mine = owner_mask.take(pixels)
+        xs, ys, pixels = xs[mine], ys[mine], pixels[mine]
+        depths, colors = depths[mine], colors[mine]
+        if xs.size == 0:
+            return metrics
+    metrics.fragments_generated = xs.size
+    owners = owner_map.take(pixels) if owner_map is not None else None
+    if owners is not None:
+        metrics.generated_by_owner += np.bincount(owners,
+                                                  minlength=num_owners)
 
-    for tri in range(artifact.num_triangles):
-        if not live[tri]:
-            continue
-        frags = rasterize_triangle(xy[tri], depth[tri], colors[tri],
-                                   width, height)
-        if frags.count == 0:
-            continue
-        metrics.triangles_rasterized += 1
-        if owner_mask is not None:
-            frags = frags.select(owner_mask[frags.ys, frags.xs])
-            if frags.count == 0:
-                continue
-        metrics.fragments_generated += frags.count
-        owners = (owner_map[frags.ys, frags.xs]
-                  if owner_map is not None else None)
+    retained = None
+    if state.early_z and retained_cull_fraction > 0.0:
+        # Fig 16: a fraction of culled fragments still get shaded (but
+        # never written), inflating fragment work. One draw per fragment
+        # in submission order (see the module docstring).
+        if rng is None:
+            rng = np.random.default_rng(0)
+        retained = rng.random(xs.size) < retained_cull_fraction
+
+    order, layer_sizes = _rank_layers(pixels)
+    if order is not None:
+        xs, ys, pixels = xs.take(order), ys.take(order), pixels.take(order)
+        depths, colors = depths.take(order), colors.take(order, axis=0)
         if owners is not None:
-            metrics.generated_by_owner += np.bincount(
-                owners, minlength=num_owners)
-
-        current = depth_buf[frags.ys, frags.xs]
+            owners = owners.take(order)
+        if retained is not None:
+            retained = retained.take(order)
+    hi = 0
+    for size in layer_sizes:
+        # one rank layer: distinct pixels, so one vectorized step has the
+        # sequential loop's effect on each of them
+        lo, hi = hi, hi + size
+        lpixels, ldepths = pixels[lo:hi], depths[lo:hi]
+        lowners = owners[lo:hi] if owners is not None else None
+        passed = depth_test(state.depth_func, ldepths,
+                            depth_buf.take(lpixels))
+        n_passed = int(np.count_nonzero(passed))
         if state.early_z:
-            passed = depth_test(state.depth_func, frags.depths, current)
-            metrics.early_z_tested += frags.count
-            n_passed = int(passed.sum())
+            metrics.early_z_tested += size
             metrics.early_z_passed += n_passed
-            if owners is not None:
-                passed_counts = np.bincount(owners[passed],
+            if lowners is not None:
+                passed_counts = np.bincount(lowners[passed],
                                             minlength=num_owners)
                 metrics.passed_by_owner += passed_counts
                 metrics.shaded_by_owner += passed_counts
-            shaded_mask = passed
-            if retain > 0.0:
-                # Fig 16: a fraction of culled fragments still get shaded
-                # (but never written), inflating fragment work.
-                failed = ~passed
-                keep = rng.random(frags.count) < retain
-                extra = int((failed & keep).sum())
-                metrics.fragments_shaded += extra
-            survivors = frags.select(shaded_mask)
-            if survivors.count == 0:
+            if retained is not None:
+                metrics.fragments_shaded += int(
+                    np.count_nonzero(~passed & retained[lo:hi]))
+            if n_passed == 0:
                 continue
-            metrics.fragments_shaded += survivors.count
-            shaded = shader.shade(survivors.xs, survivors.ys,
-                                  survivors.colors)
-            _write(target, depth_buf, survivors, shaded, state,
-                   metrics, touched)
+            metrics.fragments_shaded += n_passed
+            shaded = shader.shade(xs[lo:hi][passed], ys[lo:hi][passed],
+                                  colors[lo:hi][passed])
         else:
             # Late Z: shade everything, then test.
-            metrics.fragments_shaded += frags.count
-            shaded = shader.shade(frags.xs, frags.ys, frags.colors)
-            passed = depth_test(state.depth_func, frags.depths, current)
-            metrics.late_tested += frags.count
-            n_passed = int(passed.sum())
+            metrics.fragments_shaded += size
+            shaded = shader.shade(xs[lo:hi], ys[lo:hi], colors[lo:hi])
+            metrics.late_tested += size
             metrics.late_passed += n_passed
-            if owners is not None:
+            if lowners is not None:
                 metrics.shaded_by_owner += np.bincount(
-                    owners, minlength=num_owners)
+                    lowners, minlength=num_owners)
                 metrics.passed_by_owner += np.bincount(
-                    owners[passed], minlength=num_owners)
-            survivors = frags.select(passed)
-            if survivors.count == 0:
+                    lowners[passed], minlength=num_owners)
+            if n_passed == 0:
                 continue
-            _write(target, depth_buf, survivors, shaded[passed],
-                   state, metrics, touched)
+            shaded = shaded[passed]
+        _write(target, depth_buf, lpixels[passed], ldepths[passed], shaded,
+               state, metrics, touched)
     return metrics
 
 
-def _write(target, depth_buf, frags, shaded_colors,  # effect: mutates-args
-           state, metrics, touched) -> None:
-    """Blend surviving fragments into the render target."""
-    ys, xs = frags.ys, frags.xs
+def _rank_layers(pixels: np.ndarray) -> tuple:
+    """Group fragments into layers by their occurrence rank on a pixel.
+
+    ``pixels`` holds each fragment's flat pixel index in submission
+    order. Returns ``(order, sizes)``: taken in ``order``, the fragments
+    fall into consecutive layers of the given sizes, and layer r holds
+    every fragment that is the r-th to land on its pixel, so pixels
+    within a layer are distinct. ``order`` is None when every pixel is
+    hit once: one layer, in submission order.
+    """
+    by_pixel = pixels.argsort(kind="stable")
+    sorted_pixels = pixels.take(by_pixel)
+    repeat = sorted_pixels[1:] == sorted_pixels[:-1]
+    if not repeat.any():
+        return None, [pixels.size]
+    # rank = position - position of the first fragment on the same pixel
+    position = np.arange(pixels.size)
+    first = position.copy()
+    first[1:][repeat] = 0
+    rank = position - np.maximum.accumulate(first)
+    return by_pixel.take(rank.argsort(kind="stable")), \
+        np.bincount(rank).tolist()
+
+
+def _write(target, depth_buf, pixels, depths,  # effect: mutates-args
+           shaded_colors, state, metrics, touched) -> None:
+    """Blend surviving fragments into the render target.
+
+    ``pixels`` are flat (y * width + x) indices; ``put``/``take`` address
+    any memory layout in that logical order.
+    """
+    texels = pixels[:, None] * 4 + _RGBA
     if state.blend_op is BlendOp.REPLACE:
-        target.color[ys, xs] = shaded_colors
+        target.color.put(texels, shaded_colors)
     else:
-        target.color[ys, xs] = blend(
-            state.blend_op, target.color[ys, xs], shaded_colors)
+        target.color.put(texels, blend(
+            state.blend_op, target.color.take(texels), shaded_colors))
     if state.depth_write:
-        depth_buf[ys, xs] = frags.depths
+        depth_buf.put(pixels, depths)
     if touched is not None:
-        touched[ys, xs] = True
-    metrics.pixels_written += frags.count
+        touched.put(pixels, True)
+    metrics.pixels_written += pixels.size

@@ -412,8 +412,8 @@ class TestEffectsMeta:
     def test_hot_path_allocation_is_found(self, tmp_path):
         tree = _copy_src_repro(tmp_path)
         _mutate(tree, "raster/rasterizer.py",
-                "depth = depth[_WINDING_SWAP]",
-                "depth = depth[[0, 2, 1]]")
+                "_WINDING_SWAP, _WINDING_KEEP)",
+                "[0, 2, 1], _WINDING_KEEP)")
         findings = [f for f in lint_paths([tree], deep=True)
                     if f.rule == RULE_HOT_ALLOC]
         assert findings, "seeded per-call allocation not detected"

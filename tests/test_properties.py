@@ -11,7 +11,7 @@ from repro.composition import (SubImage, composite_opaque,
 from repro.framebuffer import SurfacePool
 from repro.geometry import BlendOp, DrawCommand, RenderState
 from repro.raster import GraphicsPipeline, TileGrid
-from repro.raster.rasterizer import rasterize_triangle
+from repro.raster.rasterizer import rasterize_triangles
 from repro.sim import Simulator
 from repro.core.draw_scheduler import LeastRemainingTrianglesScheduler
 
@@ -65,19 +65,19 @@ class TestRasterProperties:
                            max_size=3))
     @settings(max_examples=80, deadline=None)
     def test_fragments_always_on_screen_and_bounded(self, coords, depths):
-        xy = np.array(coords, dtype=np.float32).reshape(3, 2)
-        depth = np.array(depths, dtype=np.float32)
-        colors = np.ones((3, 4), dtype=np.float32)
-        frags = rasterize_triangle(xy, depth, colors, 32, 32)
-        if frags.count:
-            assert frags.xs.min() >= 0 and frags.xs.max() < 32
-            assert frags.ys.min() >= 0 and frags.ys.max() < 32
+        xy = np.array(coords, dtype=np.float32).reshape(1, 3, 2)
+        depth = np.array(depths, dtype=np.float32).reshape(1, 3)
+        colors = np.ones((1, 3, 4), dtype=np.float32)
+        _, xs, ys, frag_depths, _ = rasterize_triangles(
+            xy, depth, colors, np.ones(1, dtype=bool), 32, 32)
+        if xs.size:
+            assert xs.min() >= 0 and xs.max() < 32
+            assert ys.min() >= 0 and ys.max() < 32
             # no duplicate pixels within one triangle
-            assert len({(x, y) for x, y in zip(frags.xs.tolist(),
-                                               frags.ys.tolist())}) \
-                == frags.count
-            assert frags.depths.min() >= min(depths) - 1e-4
-            assert frags.depths.max() <= max(depths) + 1e-4
+            assert len({(x, y) for x, y in zip(xs.tolist(), ys.tolist())}) \
+                == xs.size
+            assert frag_depths.min() >= min(depths) - 1e-4
+            assert frag_depths.max() <= max(depths) + 1e-4
 
     @given(seed=st.integers(0, 50), num_gpus=st.integers(1, 8))
     @settings(max_examples=25, deadline=None)
