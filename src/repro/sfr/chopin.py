@@ -28,26 +28,27 @@ The scheme runs in three passes:
    §VI-B/Fig 15), followed by exact sub-image composition, producing the
    final image, fragment counts, and per-pair composition traffic;
 3. a **timing pass** — the cycle-level DES: pipelined GPU engines, the
-   interconnect with port contention, and either naive direct-send
-   (transfers gated on busy receivers congest the fabric) or the image
-   composition scheduler (only ready+idle pairs exchange).
+   interconnect with port contention, and the scheme's composition
+   ``transport`` (:mod:`repro.sfr.transport`): naive direct-send
+   (transfers gated on busy receivers congest the fabric), the image
+   composition scheduler (only ready+idle pairs exchange) or DFB tile
+   streaming (ungated per-tile messages to tile owners).
 
 Correctness invariant (tested): the final image equals single-GPU rendering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
 from ..composition.compositor import (SubImage, blend_merge, composite_opaque,
                                       resolve_to_background)
-from ..composition.dfb import plan_group_tiles, tree_edge_tile_sizes
 from ..composition.operators import identity_for
 from ..config import SystemConfig
-from ..core.composition_scheduler import ImageCompositionScheduler
 from ..core.draw_scheduler import (DrawScheduler,
                                    LeastRemainingTrianglesScheduler,
                                    OracleLPTScheduler, RoundRobinScheduler,
@@ -66,13 +67,13 @@ from ..framebuffer.depth import DEPTH_CLEAR
 from ..framebuffer.framebuffer import Framebuffer, SurfacePool
 from ..raster.tiles import TileGrid
 from ..render import render_service
-from ..sim import Barrier, Countdown, Event, Simulator
-from ..stats import (RunStats, STAGE_COMPOSITION, TRAFFIC_COMPOSITION,
-                     TRAFFIC_SYNC)
+from ..sim import Barrier, Event
+from ..stats import RunStats, STAGE_COMPOSITION, TRAFFIC_SYNC
 from ..timing.gpu import DrawWork, GPUEngine
 from ..timing.interconnect import Interconnect
 from ..traces.trace import Trace
 from .base import SchemeResult, SFRScheme
+from .transport import GatedDirectSend, ReadyIdlePairing, Transport
 
 #: bytes per depth-buffer pixel broadcast during transparent-group sync
 DEPTH_BYTES = 4
@@ -123,34 +124,41 @@ class _ChopinPrep:
     total_groups: int
     accelerated_groups: int
     #: (tiles_y, tiles_x) pixel area / owning GPU of every tile, for
-    #: degraded-mode tree rebuild and tile inheritance
-    tile_pixels: Optional[np.ndarray] = None
-    tile_owner: Optional[np.ndarray] = None
+    #: reduction trees, tile streaming and tile inheritance
+    tile_pixels: np.ndarray
+    tile_owner: np.ndarray
 
 
 @dataclass
-class _GroupRepair:
-    """Recovery actions for one composition group after fail-stop(s)."""
+class _GroupView:
+    """One group's composition inputs, with any fail-stop repair resolved.
 
-    #: GPUs still running when this group executes / GPUs dead by then
+    A fault-free group's view is its prep plan over every GPU (nobody
+    dead); a repaired group's runs over the survivors, who adopt the dead
+    GPUs' draws, composition traffic and framebuffer tiles.
+    """
+
+    #: GPUs executing this group / GPUs dead by then
     alive: List[int]
-    dead: List[int]
+    dead: List[int] = field(default_factory=list)
     #: survivor -> [(work, issue_offset, not_before_cycle)] — draws adopted
     #: from dead GPUs; ``not_before`` is the failure (detection) cycle
     adopted: Dict[int, List[Tuple[DrawWork, float, float]]] = field(
         default_factory=dict)
-    #: repaired src->dst composition matrix (opaque groups)
+    #: src->dst composition pixels, per-GPU touched-tile bitmaps and tile
+    #: ownership (opaque groups)
     region_pixels: Optional[np.ndarray] = None
-    #: repaired tile-source bitmaps and tile ownership (opaque groups, DFB:
-    #: survivors stream the dead GPUs' tiles, inheritors own their regions)
     touched_tiles: Optional[List[np.ndarray]] = None
     tile_owner: Optional[np.ndarray] = None
-    #: rebuilt reduction tree + scatter over survivors (transparent groups)
-    tree_levels: Optional[List[List[Tuple[int, int, int]]]] = None
-    scatter_sizes: Optional[Dict[int, int]] = None
+    #: reduction tree over the layer holders, its root, the root's scatter
+    #: pixels per GPU and each holder's layer bitmap (transparent groups)
+    tree_levels: List[List[Tuple[int, int, int]]] = field(
+        default_factory=list)
     root: int = 0
-    #: merged per-survivor layer bitmaps (transparent groups, DFB streams)
-    layer_bitmaps: Optional[Dict[int, np.ndarray]] = None
+    scatter_sizes: Dict[int, int] = field(default_factory=dict)
+    leaf_bitmaps: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: rendezvous of the live GPUs, made fresh for every timing pass
+    barrier: Optional[Barrier] = None
 
 
 @dataclass
@@ -163,7 +171,7 @@ class _DegradedPlan:
     """
 
     failure_group: Dict[int, int]
-    repairs: Dict[int, _GroupRepair]
+    repairs: Dict[int, _GroupView]
     redistributed_draws: int = 0
     recovery_cycles: float = 0.0
 
@@ -172,12 +180,8 @@ class Chopin(SFRScheme):
     """CHOPIN with naive direct-send composition (no composition scheduler)."""
 
     name = "chopin"
-    use_composition_scheduler = False
-    #: how opaque sub-images travel: ``"subimage"`` exchanges whole
-    #: per-region messages at the group boundary; ``"tiles"`` (the DFB
-    #: scheme) streams fixed-size tiles to their owners with no receiver
-    #: gating, and transparent tree edges stream per tile too
-    composition_style = "subimage"
+    #: how sub-images travel between GPUs (:mod:`repro.sfr.transport`)
+    transport: Type[Transport] = GatedDirectSend
     #: CHOPIN can finish a frame after a GPU fail-stops (degraded mode)
     supports_fail_stop = True
 
@@ -246,7 +250,7 @@ class Chopin(SFRScheme):
                 raise FaultError(
                     f"no GPU survives to execute composition group {gi}")
             inherit = {f: nearest_survivor(f, alive) for f in dead}
-            repair = _GroupRepair(alive=alive, dead=dead)
+            repair = _GroupView(alive=alive, dead=dead)
 
             def adopt(survivor: int, work: DrawWork, offset: float,
                       source: int) -> None:
@@ -303,7 +307,7 @@ class Chopin(SFRScheme):
                 repair.scatter_sizes = scatter_sizes(
                     root_bitmap, prep.tile_pixels, prep.tile_owner,
                     dead, inherit)
-                repair.layer_bitmaps = bitmaps
+                repair.leaf_bitmaps = bitmaps
             dplan.repairs[gi] = repair
         return dplan
 
@@ -442,6 +446,8 @@ class Chopin(SFRScheme):
         local_pools = [SurfacePool(width, height) for _ in range(n)]
         rng = np.random.default_rng(0xC40F1)
         tallies = [_FragTally() for _ in range(n)]
+        tile_pixels = tile_pixel_counts(grid)
+        tile_owner = tile_owner_matrix(grid, n)
 
         plans = plan_trace_frame(trace, cfg)
         group_preps: List[_GroupPrep] = []
@@ -457,7 +463,7 @@ class Chopin(SFRScheme):
             else:
                 group_preps.append(self._prep_transparent(
                     plan, session, global_pool, local_pools, own_masks,
-                    grid, tallies))
+                    grid, tallies, tile_pixels, tile_owner))
 
         summary = summarize_plan(plans)
         return _ChopinPrep(groups=group_preps,
@@ -465,8 +471,7 @@ class Chopin(SFRScheme):
                            tallies=tallies,
                            total_groups=summary.total_groups,
                            accelerated_groups=summary.accelerated_groups,
-                           tile_pixels=tile_pixel_counts(grid),
-                           tile_owner=tile_owner_matrix(grid, n))
+                           tile_pixels=tile_pixels, tile_owner=tile_owner)
 
     def _tally(self, tallies, gpu: int, metrics, early_z: bool) -> None:
         tally = tallies[gpu]
@@ -476,6 +481,16 @@ class Chopin(SFRScheme):
             tally.early_tested += metrics.early_z_tested
             tally.early_passed += metrics.early_z_passed
         tally.late_passed += metrics.late_passed
+
+    def _draw_work(self, draw, rasterized: int, shaded: int) -> DrawWork:
+        """Timing-pass work of one functionally executed draw."""
+        return DrawWork(
+            draw_id=draw.draw_id, triangles=draw.num_triangles,
+            geometry_cycles=self.costs.geometry_cycles(draw.num_triangles,
+                                                       draw.vertex_cost),
+            fragment_cycles=self.costs.fragment_cycles(rasterized, shaded,
+                                                       draw.pixel_cost),
+            fragments=shaded)
 
     def _refresh_own_regions(self, plan, global_pool, local_pools,
                              own_masks) -> None:
@@ -508,15 +523,8 @@ class Chopin(SFRScheme):
                     tally.early_passed += passed
                 else:
                     tally.late_passed += passed
-                works[gpu].append(DrawWork(
-                    draw_id=draw.draw_id,
-                    triangles=draw.num_triangles,
-                    geometry_cycles=self.costs.geometry_cycles(
-                        draw.num_triangles, draw.vertex_cost),
-                    fragment_cycles=self.costs.fragment_cycles(
-                        metrics.triangles_rasterized, shaded,
-                        draw.pixel_cost),
-                    fragments=shaded))
+                works[gpu].append(self._draw_work(
+                    draw, metrics.triangles_rasterized, shaded))
         self._refresh_own_regions(plan, global_pool, local_pools, own_masks)
         return _GroupPrep(plan=plan, mode=plan.mode, works=works)
 
@@ -536,15 +544,8 @@ class Chopin(SFRScheme):
                 draw, local_pools[gpu], touched=touched[gpu],
                 retained_cull_fraction=cfg.retained_cull_fraction, rng=rng)
             self._tally(tallies, gpu, metrics, draw.state.early_z)
-            works[gpu].append(DrawWork(
-                draw_id=draw.draw_id,
-                triangles=draw.num_triangles,
-                geometry_cycles=self.costs.geometry_cycles(
-                    draw.num_triangles, draw.vertex_cost),
-                fragment_cycles=self.costs.fragment_cycles(
-                    metrics.triangles_rasterized, metrics.fragments_shaded,
-                    draw.pixel_cost),
-                fragments=metrics.fragments_shaded))
+            works[gpu].append(self._draw_work(
+                draw, metrics.triangles_rasterized, metrics.fragments_shaded))
             issues[gpu].append(when)
 
         rt, db = plan.group.render_target, plan.group.depth_buffer
@@ -569,7 +570,8 @@ class Chopin(SFRScheme):
                                          for g in range(n)])
 
     def _prep_transparent(self, plan, session, global_pool, local_pools,
-                          own_masks, grid, tallies) -> _GroupPrep:
+                          own_masks, grid, tallies, tile_pixels,
+                          tile_owner) -> _GroupPrep:
         """Even contiguous split, adjacent-pair associative reduction."""
         cfg = self.config
         n = cfg.num_gpus
@@ -598,44 +600,27 @@ class Chopin(SFRScheme):
                 metrics = session.execute_draw(draw, temp_pool,
                                                touched=touched)
                 self._tally(tallies, gpu, metrics, draw.state.early_z)
-                works[gpu].append(DrawWork(
-                    draw_id=draw.draw_id,
-                    triangles=draw.num_triangles,
-                    geometry_cycles=self.costs.geometry_cycles(
-                        draw.num_triangles, draw.vertex_cost),
-                    fragment_cycles=self.costs.fragment_cycles(
-                        metrics.triangles_rasterized,
-                        metrics.fragments_shaded, draw.pixel_cost),
-                    fragments=metrics.fragments_shaded))
+                works[gpu].append(self._draw_work(
+                    draw, metrics.triangles_rasterized,
+                    metrics.fragments_shaded))
             layers.append(SubImage(color=layer_fb.color,
                                    depth=clear_depth.copy(),
                                    touched=touched))
             layer_tiles.append(grid.touched_tiles(touched))
 
-        # Adjacent-pair reduction tree (receiver = lower/earlier side).
-        tree_levels: List[List[Tuple[int, int, int]]] = []
-        current = dict(enumerate(layers))
-        survivors = list(range(n))
-        while len(survivors) > 1:
-            level: List[Tuple[int, int, int]] = []
-            nxt = []
-            for i in range(0, len(survivors) - 1, 2):
-                receiver, sender = survivors[i], survivors[i + 1]
-                pixels = _tile_covered_pixels(current[sender].touched, grid)
-                current[receiver] = blend_merge(
-                    current[receiver], current[sender], op)
-                level.append((sender, receiver, pixels))
-                nxt.append(receiver)
-            if len(survivors) % 2 == 1:
-                nxt.append(survivors[-1])
-            survivors = nxt
-            tree_levels.append(level)
-
-        root_layer = current[0]
-        scatter_map = grid.region_sizes_to_gpus(root_layer.touched, n)
+        # Adjacent-pair reduction tree (receiver = lower/earlier side): the
+        # same tree fail-stop repair rebuilds over survivors, here over all.
+        tree_levels, root, root_bitmap = rebuild_reduction(
+            range(n), dict(enumerate(layer_tiles)), tile_pixels)
+        for level in tree_levels:
+            for sender, receiver, _ in level:
+                layers[receiver] = blend_merge(layers[receiver],
+                                               layers[sender], op)
+        scatter_map = scatter_sizes(root_bitmap, tile_pixels, tile_owner,
+                                    dead=(), inherit={})
         scatter_pixels = [scatter_map.get(g, 0) for g in range(n)]
         resolve_to_background(global_pool.render_target(rt).color,
-                              global_pool.depth_buffer(db), root_layer, op,
+                              global_pool.depth_buffer(db), layers[root], op,
                               depth_write=False)
         self._refresh_own_regions(plan, global_pool, local_pools, own_masks)
         return _GroupPrep(plan=plan, mode=plan.mode, works=works,
@@ -650,19 +635,13 @@ class Chopin(SFRScheme):
                      link_faults: bool = True,
                      ) -> Tuple[SchemeResult, List[List[float]]]:
         """Run the DES; returns the result plus each GPU's per-group
-        involvement-end timeline (used to place fail-stops).
-
-        With ``degraded`` set, repaired groups run over the survivor set:
-        adopted draws execute on survivors (gated on the failure cycle),
-        composition excludes the dead GPUs, and transparent groups use the
-        rebuilt reduction trees and per-group barriers. ``link_faults=False``
-        forces perfect links (the fault-free baseline pass).
+        involvement-end timeline (used to place fail-stops). With
+        ``degraded`` set, repaired groups run over their survivors;
+        ``link_faults=False`` forces perfect links (the baseline pass).
         """
         cfg = self.config
         n = cfg.num_gpus
         stats = RunStats(num_gpus=n)
-        stats.composition_groups = prep.total_groups
-        stats.accelerated_groups = prep.accelerated_groups
         sim = self._make_sim()
         engines = [GPUEngine(sim, g, self.costs, stats.gpus[g],
                              update_interval=1 << 30)
@@ -670,21 +649,10 @@ class Chopin(SFRScheme):
         interconnect = Interconnect(
             sim, cfg, stats,
             fault_plan=cfg.faults if link_faults else None)
-        barrier = Barrier(sim, n)
-        pixel_bytes = cfg.pixel_bytes
-        samples = cfg.msaa_samples
-        num_groups = len(prep.groups)
-        ends = [[0.0] * num_groups for _ in range(n)]
-
-        def note_end(gpu: int, gi: int) -> None:
-            if sim.now > ends[gpu][gi]:
-                ends[gpu][gi] = sim.now
-
-        def repair_of(gi: int) -> Optional[_GroupRepair]:
-            if degraded is None:
-                return None
-            return degraded.repairs.get(gi)
-
+        transport = self.transport(sim, interconnect, stats, self.costs,
+                                   prep.tile_pixels)
+        views = self._group_views(sim, prep, degraded)
+        ends = [[0.0] * len(views) for _ in range(n)]
         # Per-GPU cross-group pipeline window: bounds how many rendered
         # groups may await their own composition (``None`` = unbounded).
         windows = [PipelineWindow(cfg.pipeline_depth) for _ in range(n)]
@@ -692,112 +660,18 @@ class Chopin(SFRScheme):
         overlap_cycles = [0.0] * n
         last_render_end = [0.0] * n
 
-        # Pre-build per-group synchronization objects (no intra-sim races).
-        # One scheduler table spans the whole frame: every opaque group is
-        # admitted into its in-flight window up front (admission = CGID
-        # order) and each GPU's row advances through the groups as its own
-        # composition chain progresses; a group retires once every alive
-        # participant finished composing it.
-        sched: Optional[ImageCompositionScheduler] = None
-        comp_remaining: Dict[int, int] = {}
-        ready_events: List[List[Event]] = []
-        receive_latches: List[List[Optional[Countdown]]] = []
-        tile_sends: List[Optional[List[list]]] = []
-        chunk_events: List[List[Event]] = []
-        scatter_events: List[List[Event]] = []
-        region_matrices: List[Optional[np.ndarray]] = []
-        group_barriers: Dict[int, Barrier] = {}
-        for gi, gp in enumerate(prep.groups):
-            repair = repair_of(gi)
-            alive = repair.alive if repair is not None else list(range(n))
-            ready_events.append([Event(sim) for _ in range(n)])
-            if gp.mode is GroupMode.OPAQUE_PARALLEL:
-                matrix = gp.region_pixels
-                if repair is not None and repair.region_pixels is not None:
-                    matrix = repair.region_pixels
-                region_matrices.append(matrix)
-                if self.composition_style == "tiles":
-                    bitmaps = (gp.touched_tiles if repair is None
-                               else repair.touched_tiles)
-                    owner = (prep.tile_owner if repair is None
-                             else repair.tile_owner)
-                    sends, recv_counts = plan_group_tiles(
-                        bitmaps, prep.tile_pixels, owner)
-                    tile_sends.append(sends)
-                    latches = [Countdown(sim, recv_counts[dst])
-                               for dst in range(n)]
-                else:
-                    tile_sends.append(None)
-                    latches = []
-                    for dst in range(n):
-                        senders = int((matrix[:, dst] > 0).sum())
-                        latches.append(Countdown(sim, senders))
-                receive_latches.append(latches)
-                if self.use_composition_scheduler and len(alive) > 1:
-                    if sched is None:
-                        sched = ImageCompositionScheduler(n, sim)
-                    cgid = gp.plan.group.index
-                    if repair is not None:
-                        allowed = [set(alive) - {g} if g in alive else set()
-                                   for g in range(n)]
-                        sched.open_group(cgid, allowed_partners=allowed)
-                    else:
-                        sched.open_group(cgid)
-                    comp_remaining[cgid] = len(alive)
-            else:
-                region_matrices.append(None)
-                receive_latches.append([None] * n)
-                tile_sends.append(None)
-            chunk_events.append([Event(sim) for _ in range(n)])
-            scatter_events.append([Event(sim) for _ in range(n)])
-            if (repair is not None
-                    and gp.mode is GroupMode.TRANSPARENT_PARALLEL):
-                group_barriers[gi] = Barrier(sim, len(alive))
+        # Open every group's composition before the DES starts; a
+        # transparent group's tree yields per-GPU (chunk, scatter) events.
+        for gi, (gp, view) in enumerate(zip(prep.groups, views)):
+            if gp.mode is GroupMode.OPAQUE_PARALLEL and len(view.alive) > 1:
+                transport.open_group(gi, gp.plan.group.index, view)
+        tree_events = {gi: self._wire_transparent(sim, transport, view)
+                       for gi, (gp, view) in enumerate(zip(prep.groups, views))
+                       if gp.mode is GroupMode.TRANSPARENT_PARALLEL}
 
-        # Wire up transparent reduction trees + scatters.
-        for gi, gp in enumerate(prep.groups):
-            if gp.mode is not GroupMode.TRANSPARENT_PARALLEL:
-                continue
-            self._wire_transparent(sim, interconnect, stats, gp,
-                                   chunk_events[gi], scatter_events[gi],
-                                   repair=repair_of(gi),
-                                   tile_pixels=prep.tile_pixels)
-
-        def compose_naive(gpu: int, gi: int):
-            matrix = region_matrices[gi]
-            ready_events[gi][gpu].succeed()
-            sends = []
-            for offset in range(1, n):
-                dst = (gpu + offset) % n
-                pixels = int(matrix[gpu, dst]) * samples
-                if pixels == 0:
-                    continue
-                sends.append(sim.process(self._send_subimage(
-                    interconnect, stats, gpu, dst, pixels, pixel_bytes,
-                    gate=ready_events[gi][dst],
-                    latch=receive_latches[gi][dst])))
-            if sends:
-                yield sim.all_of(sends)
-            yield receive_latches[gi][gpu].event
-
-        def compose_tiles(gpu: int, gi: int):
-            # DFB: stream every touched tile straight to its owner, no
-            # receiver gating — the owner folds tiles in arrival order
-            # (any-order argmin reduction, bit-identical by construction).
-            # Messages serialize on the sender's egress port, each paying
-            # its own head latency: the per-tile message cost model.
-            sends = []
-            for message in tile_sends[gi][gpu]:
-                pixels = message.pixels * samples
-                if pixels == 0:
-                    continue
-                sends.append(sim.process(self._send_subimage(
-                    interconnect, stats, gpu, message.dst, pixels,
-                    pixel_bytes, gate=None,
-                    latch=receive_latches[gi][message.dst])))
-            if sends:
-                yield sim.all_of(sends)
-            yield receive_latches[gi][gpu].event
+        def note_end(gpu: int, gi: int) -> None:
+            if sim.now > ends[gpu][gi]:
+                ends[gpu][gi] = sim.now
 
         def opaque_comp_proc(gpu: int, gi: int,
                              prev_done: Event, done: Event):
@@ -807,12 +681,7 @@ class Chopin(SFRScheme):
             if not prev_done.processed:
                 yield prev_done
             comp_start = sim.now
-            if self.use_composition_scheduler:
-                yield from compose_scheduled(gpu, gi)
-            elif self.composition_style == "tiles":
-                yield from compose_tiles(gpu, gi)
-            else:
-                yield from compose_naive(gpu, gi)
+            yield from transport.compose(gpu, gi)
             # Cycles this composition spent under later groups' rendering:
             # the overlap the cross-group pipeline exists to create.
             overlap = min(sim.now, last_render_end[gpu]) - comp_start
@@ -820,49 +689,6 @@ class Chopin(SFRScheme):
                 overlap_cycles[gpu] += overlap
             note_end(gpu, gi)
             done.succeed()
-            cgid = prep.groups[gi].plan.group.index
-            if sched is not None and cgid in comp_remaining:
-                comp_remaining[cgid] -= 1
-                if comp_remaining[cgid] == 0:
-                    sched.retire_group(cgid)
-
-        def compose_scheduled(gpu: int, gi: int):
-            matrix = region_matrices[gi]
-            sched.advance(gpu, prep.groups[gi].plan.group.index)
-            sched.mark_ready(gpu)
-            in_flight = []
-            while not sched.gpu_done(gpu):
-                sender = sched.find_sender_for(gpu)
-                if sender is None:
-                    yield sched.wait_change()
-                    continue
-                sched.begin(sender, gpu)
-                pixels = int(matrix[sender, gpu]) * samples
-                if pixels:
-                    # Pull the sub-image; free the pair for new matches as
-                    # soon as the ports drain (the message tail — latency +
-                    # ROP composition — pipelines with the next pull).
-                    released = Event(sim)
-                    compose_cycles = self.costs.compose_cycles(pixels)
-                    in_flight.append(sim.process(interconnect.transfer(
-                        sender, gpu, pixels * pixel_bytes,
-                        TRAFFIC_COMPOSITION, receive_cycles=compose_cycles,
-                        ports_released=released)))
-                    stats.add_cycles(gpu, STAGE_COMPOSITION, compose_cycles)
-                    yield released
-                sched.complete(sender, gpu)
-            if in_flight:
-                yield sim.all_of(in_flight)
-
-        def run_adopted(gpu: int, repair: _GroupRepair, group_start: float):
-            # Draws adopted from dead GPUs: the driver re-issues them after
-            # the failure is detected, so none starts before the failure
-            # cycle (and opaque re-issues keep their original issue pacing).
-            for work, offset, not_before in repair.adopted.get(gpu, ()):
-                resume = max(group_start + offset, not_before)
-                if resume > sim.now:
-                    yield sim.timeout(resume - sim.now)
-                yield from engines[gpu].geometry(work)
 
         def gpu_process(gpu: int):
             # `comp_tail` is this GPU's composition-chain tail: groups
@@ -870,9 +696,8 @@ class Chopin(SFRScheme):
             # barrier between opaque groups).
             comp_tail = Event(sim)
             comp_tail.succeed()
-            for gi, gp in enumerate(prep.groups):
-                repair = repair_of(gi)
-                if repair is not None and gpu in repair.dead:
+            for gi, (gp, view) in enumerate(zip(prep.groups, views)):
+                if gpu in view.dead:
                     break  # fail-stop: this GPU leaves the frame here
                 # Pipeline-window admission: with a bounded depth, wait for
                 # this GPU's own oldest pending composition before starting
@@ -884,55 +709,36 @@ class Chopin(SFRScheme):
                     stall_cycles[gpu] += sim.now - stall_start
                     gate = windows[gpu].admit_gate()
                 group_start = sim.now
-                alive_count = len(repair.alive) if repair is not None else n
-                if gp.mode is GroupMode.DUPLICATE:
-                    yield from engines[gpu].run_draws(gp.works[gpu])
-                    if repair is not None:
-                        yield from run_adopted(gpu, repair, group_start)
-                    yield engines[gpu].drain()
-                    last_render_end[gpu] = sim.now
-                    note_end(gpu, gi)
-                elif gp.mode is GroupMode.OPAQUE_PARALLEL:
-                    for work, when in zip(gp.works[gpu],
-                                          gp.issue_times[gpu]):
-                        wait = group_start + when - sim.now
-                        if wait > 0:
-                            yield sim.timeout(wait)
-                        yield from engines[gpu].geometry(work)
-                    if repair is not None:
-                        yield from run_adopted(gpu, repair, group_start)
-                    yield engines[gpu].drain()
-                    last_render_end[gpu] = sim.now
-                    note_end(gpu, gi)
-                    if alive_count > 1:
-                        done = Event(sim)
-                        sim.process(
-                            opaque_comp_proc(gpu, gi, comp_tail, done),
-                            name=f"{self.name}-comp-g{gi}-gpu{gpu}")
-                        comp_tail = done
-                        windows[gpu].push(done)
-                else:  # transparent: needs globally composed depth -> sync
+                transparent = gp.mode is GroupMode.TRANSPARENT_PARALLEL
+                if transparent:  # needs globally composed depth -> sync
                     if not comp_tail.processed:
                         yield comp_tail
-                    group_barrier = group_barriers.get(gi, barrier)
-                    yield group_barrier.wait()
-                    if alive_count > 1:
-                        own_pixels = (trace.width * trace.height
-                                      / alive_count)
+                    yield view.barrier.wait()
+                    if len(view.alive) > 1:
+                        own_pixels = trace.width * trace.height / len(
+                            view.alive)
                         yield from interconnect.broadcast(
                             gpu, own_pixels * DEPTH_BYTES, TRAFFIC_SYNC,
-                            targets=(repair.alive if repair is not None
-                                     else None))
-                        yield group_barrier.wait()
-                    yield from engines[gpu].run_draws(gp.works[gpu])
-                    if repair is not None:
-                        yield from run_adopted(gpu, repair, group_start)
-                    yield engines[gpu].drain()
-                    last_render_end[gpu] = sim.now
-                    chunk_events[gi][gpu].succeed()
-                    yield scatter_events[gi][gpu]
-                    yield group_barrier.wait()
+                            targets=view.alive)
+                        yield view.barrier.wait()
+                yield from self._render(sim, engines[gpu], gp, view, gpu,
+                                        group_start)
+                last_render_end[gpu] = sim.now
+                note_end(gpu, gi)
+                if transparent:
+                    chunk_done, scatter_done = tree_events[gi]
+                    chunk_done[gpu].succeed()
+                    yield scatter_done[gpu]
+                    yield view.barrier.wait()
                     note_end(gpu, gi)
+                elif (gp.mode is GroupMode.OPAQUE_PARALLEL
+                      and len(view.alive) > 1):
+                    done = Event(sim)
+                    sim.process(
+                        opaque_comp_proc(gpu, gi, comp_tail, done),
+                        name=f"{self.name}-comp-g{gi}-gpu{gpu}")
+                    comp_tail = done
+                    windows[gpu].push(done)
             if not comp_tail.processed:
                 yield comp_tail
 
@@ -941,116 +747,107 @@ class Chopin(SFRScheme):
                      for gpu in range(n)]
         stats.frame_cycles = self._run_sim_checked(sim, processes,
                                                    stats=stats)
-
-        stats.pipeline_depth = (0 if cfg.pipeline_depth is None
-                                else cfg.pipeline_depth)
         stats.pipeline_stall_cycles = sum(stall_cycles)
         stats.comp_overlap_cycles = sum(overlap_cycles)
-        busy = sum(g.total_cycles for g in stats.gpus)
-        stats.idle_cycles = max(0.0, n * stats.frame_cycles - busy)
-        if sched is not None:
-            stats.scheduler_groups_peak = sched.groups_peak
+        return self._frame_result(trace, prep, stats), ends
 
-        for gpu, tally in enumerate(prep.tallies):
-            gstats = stats.gpus[gpu]
+    @staticmethod
+    def _render(sim, engine: GPUEngine, gp: _GroupPrep, view: _GroupView,
+                gpu: int, group_start: float):
+        """Process fragment: one GPU renders its share of a group.
+
+        Its own draws issue at their recorded offsets (only opaque groups
+        pace the driver); draws adopted from dead GPUs follow, re-issued
+        once the failure is detected and never before its cycle.
+        """
+        offsets = (gp.issue_times[gpu]
+                   if gp.mode is GroupMode.OPAQUE_PARALLEL else repeat(0.0))
+        issues = [(work, group_start + offset)
+                  for work, offset in zip(gp.works[gpu], offsets)]
+        issues += [(work, max(group_start + offset, not_before))
+                   for work, offset, not_before in view.adopted.get(gpu, ())]
+        for work, at in issues:
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            yield from engine.geometry(work)
+        yield engine.drain()
+
+    def _frame_result(self, trace: Trace, prep: _ChopinPrep,
+                      stats: RunStats) -> SchemeResult:
+        """Stamp the frame-level and functional counters onto ``stats``."""
+        cfg = self.config
+        stats.composition_groups = prep.total_groups
+        stats.accelerated_groups = prep.accelerated_groups
+        stats.pipeline_depth = (0 if cfg.pipeline_depth is None
+                                else cfg.pipeline_depth)
+        busy = sum(g.total_cycles for g in stats.gpus)
+        stats.idle_cycles = max(0.0, cfg.num_gpus * stats.frame_cycles - busy)
+        for gstats, tally in zip(stats.gpus, prep.tallies):
             gstats.fragments_generated = tally.generated
             gstats.fragments_shaded = tally.shaded
             gstats.fragments_early_z_tested = tally.early_tested
             gstats.fragments_passed_early_z = tally.early_passed
             gstats.fragments_passed_late = tally.late_passed
-        result = SchemeResult(scheme=self.name, trace_name=trace.name,
-                              num_gpus=n, stats=stats,
-                              image=prep.image.copy())
-        return result, ends
+        return SchemeResult(scheme=self.name, trace_name=trace.name,
+                            num_gpus=cfg.num_gpus, stats=stats,
+                            image=prep.image.copy())
 
-    def _send_subimage(self, interconnect, stats, src, dst, pixels,
-                       pixel_bytes, gate, latch):
-        compose_cycles = self.costs.compose_cycles(pixels)
-        yield from interconnect.transfer(
-            src, dst, pixels * pixel_bytes, TRAFFIC_COMPOSITION,
-            gate=gate, receive_cycles=compose_cycles)
-        stats.add_cycles(dst, STAGE_COMPOSITION, compose_cycles)
-        latch.arrive()
+    def _group_views(self, sim, prep: _ChopinPrep,
+                     degraded: Optional[_DegradedPlan]) -> List[_GroupView]:
+        """Resolve every group's view once: its fail-stop repair, if it has
+        one, else its fault-free plan; each with a fresh barrier."""
+        repairs = degraded.repairs if degraded is not None else {}
+        views = []
+        for gi, gp in enumerate(prep.groups):
+            view = repairs.get(gi) or _GroupView(
+                alive=list(range(self.config.num_gpus)),
+                region_pixels=gp.region_pixels,
+                touched_tiles=gp.touched_tiles, tile_owner=prep.tile_owner,
+                tree_levels=gp.tree_levels,
+                scatter_sizes=dict(enumerate(gp.scatter_pixels or ())),
+                leaf_bitmaps=dict(enumerate(gp.layer_tiles)))
+            views.append(replace(view, barrier=Barrier(sim, len(view.alive))))
+        return views
 
-    def _wire_transparent(self, sim, interconnect, stats, gp,
-                          chunk_done, scatter_done,
-                          repair: Optional[_GroupRepair] = None,
-                          tile_pixels: Optional[np.ndarray] = None) -> None:
+    def _wire_transparent(self, sim, transport: Transport, view: _GroupView,
+                          ) -> Tuple[List[Event], List[Event]]:
         """Spawn the pair-reduction and scatter processes for one group.
 
-        With ``repair`` set, the rebuilt tree (over survivors, merged-chunk
-        bitmaps) replaces the fault-free one and the final scatter covers
-        only surviving GPUs (dead GPUs' tiles went to their inheritors).
-
-        Under the DFB scheme (``composition_style == "tiles"``) every tree
-        edge streams its payload one tile at a time in raster order — the
-        receiver folds each tile as it lands (tree-adjacent tile reduction),
-        at the cost of one head latency per tile message.
+        The adjacent-pair tree runs over the view's layer holders, every
+        edge sending the transport's message sizes; the root then scatters
+        the composed layer to the live GPUs (after a fail-stop, dead GPUs'
+        tiles belong to their inheritors). Returns the per-GPU events the
+        GPUs fire when their layer is rendered and wait on for the scatter.
         """
         n = self.config.num_gpus
-        pixel_bytes = self.config.pixel_bytes
         samples = self.config.msaa_samples
-        if repair is not None and repair.tree_levels is not None:
-            tree_levels = repair.tree_levels
-            root = repair.root
-            scatter_plan = [(dst, repair.scatter_sizes.get(dst, 0))
-                            for dst in repair.alive]
-            ready: Dict[int, Event] = {m: chunk_done[m]
-                                       for m in repair.alive}
-            leaf_bitmaps = repair.layer_bitmaps
-        else:
-            tree_levels = gp.tree_levels
-            root = 0
-            scatter_plan = [(dst,
-                             gp.scatter_pixels[dst] if gp.scatter_pixels
-                             else 0)
-                            for dst in range(n)]
-            ready = dict(enumerate(chunk_done))
-            leaf_bitmaps = dict(enumerate(gp.layer_tiles))
-        tile_streams = None
-        if self.composition_style == "tiles" and tile_pixels is not None:
-            tile_streams = tree_edge_tile_sizes(tree_levels, leaf_bitmaps,
-                                                tile_pixels)
+        chunk_done = [Event(sim) for _ in range(n)]
+        scatter_done = [Event(sim) for _ in range(n)]
 
-        def pair_proc(sender, receiver, pixels, ready_s, ready_r, out,
-                      tiles=None):
+        def pair_proc(sender, receiver, messages, ready_s, ready_r, out):
             # Adjacent pairs start only when both sides are available.
             # (Gating a tree transfer on a *previous* transfer's completion
             # would pin the receiver's ingress port against the very message
             # that must complete first — so no naive gating here; this is
             # exactly the readiness handshake §IV-E prescribes.)
             yield sim.all_of([ready_s, ready_r])
-            if tiles is not None:
-                for tile_px in tiles:
-                    tile_px *= samples
-                    if tile_px == 0:
-                        continue
-                    compose_cycles = self.costs.compose_cycles(tile_px)
-                    yield from interconnect.transfer(
-                        sender, receiver, tile_px * pixel_bytes,
-                        TRAFFIC_COMPOSITION, receive_cycles=compose_cycles)
-                    stats.add_cycles(receiver, STAGE_COMPOSITION,
-                                     compose_cycles)
-            elif pixels:
-                compose_cycles = self.costs.compose_cycles(pixels)
-                yield from interconnect.transfer(
-                    sender, receiver, pixels * pixel_bytes,
-                    TRAFFIC_COMPOSITION, receive_cycles=compose_cycles)
-                stats.add_cycles(receiver, STAGE_COMPOSITION, compose_cycles)
+            for pixels in messages:
+                if pixels:
+                    yield from transport.deliver(sender, receiver,
+                                                 pixels * samples)
             out.succeed()
 
-        for li, level in enumerate(tree_levels):
-            for ei, (sender, receiver, pixels) in enumerate(level):
-                pixels *= samples
+        ready: Dict[int, Event] = {m: chunk_done[m] for m in view.alive}
+        for level, sizes in zip(view.tree_levels,
+                                transport.edge_messages(view)):
+            for (sender, receiver, _), messages in zip(level, sizes):
                 out = Event(sim)
-                tiles = tile_streams[li][ei] if tile_streams else None
                 sim.process(
-                    pair_proc(sender, receiver, pixels,
-                              ready[sender], ready[receiver], out,
-                              tiles=tiles),
+                    pair_proc(sender, receiver, messages,
+                              ready[sender], ready[receiver], out),
                     name=f"pair-{sender}->{receiver}")
                 ready[receiver] = out
-        root_ready = ready[root]
+        root, root_ready = view.root, ready[view.root]
 
         def scatter_proc(dst, pixels):
             yield root_ready
@@ -1059,37 +856,24 @@ class Chopin(SFRScheme):
                 compose_cycles = self.costs.compose_cycles(pixels)
                 if compose_cycles:
                     yield sim.timeout(compose_cycles)
-                stats.add_cycles(root, STAGE_COMPOSITION, compose_cycles)
+                transport.stats.add_cycles(root, STAGE_COMPOSITION,
+                                           compose_cycles)
             elif pixels:
-                compose_cycles = self.costs.compose_cycles(pixels)
-                yield from interconnect.transfer(
-                    root, dst, pixels * pixel_bytes, TRAFFIC_COMPOSITION,
-                    receive_cycles=compose_cycles)
-                stats.add_cycles(dst, STAGE_COMPOSITION, compose_cycles)
+                yield from transport.deliver(root, dst, pixels)
             scatter_done[dst].succeed()
 
-        for dst, pixels in scatter_plan:
-            sim.process(scatter_proc(dst, pixels * samples),
+        for dst in view.alive:
+            sim.process(scatter_proc(dst, view.scatter_sizes.get(dst, 0)
+                                     * samples),
                         name=f"scatter-{dst}")
-
-
-def _tile_covered_pixels(touched: np.ndarray, grid: TileGrid) -> int:
-    """Pixels transferred for a touched mask at tile granularity."""
-    tiles = grid.touched_tiles(touched)
-    total = 0
-    for ty in range(grid.tiles_y):
-        for tx in range(grid.tiles_x):
-            if tiles[ty, tx]:
-                x0, y0, x1, y1 = grid.tile_bounds(tx, ty)
-                total += (x1 - x0) * (y1 - y0)
-    return total
+        return chunk_done, scatter_done
 
 
 class ChopinWithScheduler(Chopin):
     """CHOPIN + the image composition scheduler (the paper's CHOPIN+)."""
 
     name = "chopin+sched"
-    use_composition_scheduler = True
+    transport = ReadyIdlePairing
 
 
 class IdealChopin(ChopinWithScheduler):

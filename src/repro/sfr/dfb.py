@@ -25,19 +25,19 @@ tiles' owners the moment rendering finishes.
   tile-granular analogue of the region-matrix repair, and strictly more
   precise (overlapping tiles stream once, not twice).
 
-All timing/wiring lives in :meth:`Chopin._timing_pass`, branched on
-``composition_style``; the functional tile reducers live in
-:mod:`repro.composition.dfb`.
+The timing pass is CHOPIN's own; this scheme only selects the
+:class:`~repro.sfr.transport.TileStreaming` transport. The functional
+tile reducers live in :mod:`repro.composition.dfb`.
 """
 
 from __future__ import annotations
 
 from .chopin import Chopin
+from .transport import TileStreaming
 
 
 class DistributedFramebufferChopin(Chopin):
     """CHOPIN variant composing via asynchronous per-tile streaming."""
 
     name = "dfb"
-    use_composition_scheduler = False
-    composition_style = "tiles"
+    transport = TileStreaming
