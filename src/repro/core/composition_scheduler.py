@@ -21,6 +21,19 @@ groups only *adjacent* partners (in the current reduction tree) are
 eligible, since transparent sub-images cannot be composed fully
 out-of-order (§II-D).
 
+As in the paper, SentGPUs and ReceivedGPUs are bit vectors (``int``
+masks, bit ``g`` = GPU ``g``). The scheduler keeps four more masks as
+indexes over the table: each open group's partner masks, the excluded
+GPUs, the Sending GPUs, and per CGID the Ready rows on it. The eligible
+senders of a receiver are then one AND::
+
+    partners & ready[cgid] & ~sending & ~received
+
+and :meth:`~ImageCompositionScheduler.find_sender_for` returns its lowest
+set bit, the GPU a sorted scan of the partners would reach first.
+:meth:`~ImageCompositionScheduler.gpu_done` is a subset test of the
+partner mask against SentGPUs AND ReceivedGPUs.
+
 The table supports a *window* of in-flight composition groups: each row
 carries its own CGID, so different GPUs may be composing different groups
 concurrently (cross-group pipelining). Groups are admitted with
@@ -34,17 +47,35 @@ partners there: no remaining participant can still need it as a sender.
 row onto one CGID).
 
 The scheduler is a passive table; the DES layer drives it through
-``mark_ready`` / ``begin`` / ``complete`` and waits on ``wait_change``.
+``mark_ready`` / ``begin`` / ``complete`` and waits on ``wait_pair(gpu)``.
+Each table change schedules *one* zero-delay re-check for all waiters.
+It visits them in the order they started waiting and wakes, in place,
+only those whose GPU can make progress (a sender is free, or it is
+done); the rest stay waiting, in the same list positions a woken waiter
+would have taken by waiting again. That is the order and outcome of
+waking every waiter with its own event: those events would sit next to
+each other in the queue, and a waiter that can only wait again changes
+no table state, counter or sanitizer record in between.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..analysis.sanitizer import ACCESS_ARBITRATED
 from ..errors import SchedulingError
 from ..sim import Event, Simulator
+
+
+def _members(mask: int) -> List[int]:
+    """The GPUs of a bit vector, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 @dataclass
@@ -55,15 +86,24 @@ class CompositionStatus:
     ready: bool = False
     receiving: bool = False
     sending: bool = False
-    sent_gpus: Set[int] = field(default_factory=set)
-    received_gpus: Set[int] = field(default_factory=set)
+    #: SentGPUs / ReceivedGPUs bit vectors (bit g = GPU g)
+    sent_mask: int = 0
+    received_mask: int = 0
+
+    @property
+    def sent_gpus(self) -> FrozenSet[int]:
+        return frozenset(_members(self.sent_mask))
+
+    @property
+    def received_gpus(self) -> FrozenSet[int]:
+        return frozenset(_members(self.received_mask))
 
     def reset(self) -> None:
         self.ready = False
         self.receiving = False
         self.sending = False
-        self.sent_gpus.clear()
-        self.received_gpus.clear()
+        self.sent_mask = 0
+        self.received_mask = 0
 
     def size_bits(self, num_gpus: int, cgid_bits: int = 8) -> int:
         """Hardware cost of this row (§VI-F)."""
@@ -88,24 +128,40 @@ class ImageCompositionScheduler:
         self.window = window
         #: in-flight CGIDs, in admission order
         self._open: List[int] = []
-        #: per-CGID partner restriction (None entry = all-to-all)
-        self._group_allowed: Dict[int, Optional[List[Set[int]]]] = {}
+        #: all-to-all partner masks: everyone but the GPU itself
+        everyone = (1 << num_gpus) - 1
+        self._all_to_all = [everyone ^ (1 << g) for g in range(num_gpus)]
+        #: per-CGID partner masks (None entry = all-to-all)
+        self._partners: Dict[int, Optional[List[int]]] = {}
         #: fail-stopped GPUs, removed from every group's partner sets
-        self._excluded: Set[int] = set()
+        self._excluded = 0
+        #: rows with Sending set
+        self._sending = 0
+        #: CGID -> rows on that CGID with Ready set (no entry = none)
+        self._ready: Dict[int, int] = {}
         #: high-water mark of concurrently open groups (for RunStats)
         self.groups_peak = 0
-        self._waiters: List[Event] = []
+        #: (gpu, event) of every wait_pair still pending, in wait order
+        self._waiters: List[Tuple[int, Event]] = []
 
     def _record_table_access(self) -> None:
         """Report a scheduler-table mutation to the race sanitizer.
 
         Recorded as arbitrated: the table is a centralized arbiter whose
-        pairing decisions are deterministic (sorted partner scan, FIFO
-        notify), so same-cycle updates from several GPUs are the intended
-        operating mode, not a race.
+        pairing decisions are deterministic (lowest eligible sender, FIFO
+        re-check), so same-cycle updates from several GPUs are the
+        intended operating mode, not a race.
         """
         if self.sim is not None:
             self.sim.record_access("scheduler:table", ACCESS_ARBITRATED)
+
+    def _mask_of(self, gpus: Iterable[int]) -> int:
+        mask = 0
+        for gpu in gpus:
+            if not 0 <= gpu < self.num_gpus:
+                raise SchedulingError(f"unknown partner GPU{gpu}")
+            mask |= 1 << gpu
+        return mask
 
     # -- group window --------------------------------------------------------
 
@@ -123,20 +179,26 @@ class ImageCompositionScheduler:
             raise SchedulingError(
                 f"cannot open group {cgid}: window of {self.window} "
                 f"in-flight groups is full ({self._open})")
+        masks = None
         if allowed_partners is not None:
             if len(allowed_partners) != self.num_gpus:
                 raise SchedulingError("allowed_partners must cover every GPU")
+            masks = [self._mask_of(partners) for partners in allowed_partners]
         self._open.append(cgid)
-        self._group_allowed[cgid] = allowed_partners
+        self._partners[cgid] = masks
         if len(self._open) > self.groups_peak:
             self.groups_peak = len(self._open)
 
     def retire_group(self, cgid: int) -> None:
-        """Close a finished group, freeing its window slot."""
+        """Close a finished group, freeing its window slot.
+
+        Rows still on ``cgid`` keep their state (the ready index included);
+        they fall back to all-to-all partners until they advance.
+        """
         if cgid not in self._open:
             raise SchedulingError(f"group {cgid} is not in flight")
         self._open.remove(cgid)
-        del self._group_allowed[cgid]
+        del self._partners[cgid]
 
     def advance(self, gpu: int, cgid: int) -> None:
         """Move one GPU's row to an open group, *fully* resetting it.
@@ -152,6 +214,15 @@ class ImageCompositionScheduler:
                 f"GPU{gpu} cannot advance to group {cgid}: not in flight")
         self._record_table_access()
         row = self.table[gpu]
+        bit = 1 << gpu
+        # take the row out of the ready and sending indexes it leaves
+        if row.ready:
+            ready = self._ready[row.cgid] & ~bit
+            if ready:
+                self._ready[row.cgid] = ready
+            else:
+                del self._ready[row.cgid]
+        self._sending &= ~bit
         row.reset()
         row.cgid = cgid
 
@@ -166,11 +237,13 @@ class ImageCompositionScheduler:
         """Begin a new *sole* composition phase (legacy single-group mode):
         drops any in-flight groups and resets every row onto ``cgid``."""
         self._open.clear()
-        self._group_allowed.clear()
+        self._partners.clear()
         self.open_group(cgid, allowed_partners)
         for row in self.table:
             row.reset()
             row.cgid = cgid
+        self._sending = 0
+        self._ready.clear()
 
     def mark_ready(self, gpu: int) -> None:
         """GPU finished its draws and generated its sub-image (Fig 12 step 1)."""
@@ -179,44 +252,45 @@ class ImageCompositionScheduler:
             raise SchedulingError(f"GPU{gpu} marked ready twice")
         self._record_table_access()
         row.ready = True
+        self._ready[row.cgid] = self._ready.get(row.cgid, 0) | (1 << gpu)
         self._notify()
+
+    def _partner_mask(self, gpu: int) -> int:
+        """Partner mask of this GPU *in its row's current group*."""
+        if self._excluded >> gpu & 1:
+            return 0
+        masks = self._partners.get(self.table[gpu].cgid)
+        base = self._all_to_all[gpu] if masks is None else masks[gpu]
+        return base & ~self._excluded
 
     def partners_of(self, gpu: int) -> Set[int]:
         """Partner set of this GPU *in its row's current group*."""
-        if gpu in self._excluded:
-            return set()
-        allowed = self._group_allowed.get(self.table[gpu].cgid)
-        if allowed is not None:
-            base = allowed[gpu]
-        else:
-            base = {g for g in range(self.num_gpus) if g != gpu}
-        if self._excluded:
-            return base - self._excluded
-        return base
+        return set(_members(self._partner_mask(gpu)))
 
     def find_sender_for(self, receiver: int) -> Optional[int]:
-        """A sender this receiver may compose with now (Fig 12 conditions)."""
+        """A sender this receiver may compose with now (Fig 12 conditions):
+        the lowest-numbered eligible partner."""
         row = self.table[receiver]
         if not row.ready or row.receiving:
             return None
-        for sender in sorted(self.partners_of(receiver)):
-            remote = self.table[sender]
-            if (remote.ready and remote.cgid == row.cgid
-                    and sender not in row.received_gpus
-                    and not remote.sending):
-                return sender
-        return None
+        eligible = (self._partner_mask(receiver)
+                    & self._ready.get(row.cgid, 0)
+                    & ~self._sending & ~row.received_mask)
+        if not eligible:
+            return None
+        return (eligible & -eligible).bit_length() - 1
 
     def begin(self, sender: int, receiver: int) -> None:
         """Claim the pair: set Sending/Receiving (Fig 12 step 4)."""
         s, r = self.table[sender], self.table[receiver]
         if s.sending or r.receiving:
             raise SchedulingError("pair members already busy")
-        if sender in r.received_gpus:
+        if r.received_mask >> sender & 1:
             raise SchedulingError("pair already composed")
         self._record_table_access()
         s.sending = True
         r.receiving = True
+        self._sending |= 1 << sender
 
     def complete(self, sender: int, receiver: int) -> None:
         """Transfer done: clear flags, record Sent/Received (Fig 12 step 5)."""
@@ -226,8 +300,9 @@ class ImageCompositionScheduler:
         self._record_table_access()
         s.sending = False
         r.receiving = False
-        s.sent_gpus.add(receiver)
-        r.received_gpus.add(sender)
+        self._sending &= ~(1 << sender)
+        s.sent_mask |= 1 << receiver
+        r.received_mask |= 1 << sender
         self._notify()
 
     def exclude_gpu(self, gpu: int) -> None:
@@ -241,16 +316,16 @@ class ImageCompositionScheduler:
         if not 0 <= gpu < self.num_gpus:
             raise SchedulingError(f"cannot exclude unknown GPU{gpu}")
         self._record_table_access()
-        self._excluded.add(gpu)
+        self._excluded |= 1 << gpu
         self._notify()
 
     def extend_partners(self, gpu: int, partners: Set[int]) -> None:
         """Widen a GPU's allowed partner set in its row's current group
         (tree reductions grow reach)."""
-        allowed = self._group_allowed.get(self.table[gpu].cgid)
-        if allowed is None:
+        masks = self._partners.get(self.table[gpu].cgid)
+        if masks is None:
             return
-        allowed[gpu] = set(partners)
+        masks[gpu] = self._mask_of(partners)
         self._notify()
 
     # -- completion tests ----------------------------------------------------
@@ -258,27 +333,39 @@ class ImageCompositionScheduler:
     def gpu_done(self, gpu: int) -> bool:
         """All sends and receives for this GPU's partner set finished."""
         row = self.table[gpu]
-        partners = self.partners_of(gpu)
-        return (row.sent_gpus >= partners and row.received_gpus >= partners)
+        return not (self._partner_mask(gpu)
+                    & ~(row.sent_mask & row.received_mask))
 
     def all_done(self) -> bool:
         return all(self.gpu_done(g) for g in range(self.num_gpus))
 
     # -- DES integration -----------------------------------------------------
 
-    def wait_change(self) -> Event:
-        """Event fired at the next table state change."""
+    def wait_pair(self, gpu: int) -> Event:
+        """Event fired once ``gpu`` can make progress after a table change:
+        :meth:`find_sender_for` offers it a sender, or :meth:`gpu_done`."""
         if self.sim is None:
             raise SchedulingError("scheduler built without a simulator")
         event = Event(self.sim)
-        self._waiters.append(event)
+        self._waiters.append((gpu, event))
         return event
 
     def _notify(self) -> None:
+        """Schedule one re-check of everyone waiting at this change."""
+        if not self._waiters:
+            return
         waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
+        recheck = Event(self.sim)
+        recheck.callbacks.append(lambda _: self._recheck(waiters))
+        recheck.succeed()
+
+    def _recheck(self, waiters: List[Tuple[int, Event]]) -> None:
+        for entry in waiters:
+            gpu, event = entry
+            if self.gpu_done(gpu) or self.find_sender_for(gpu) is not None:
+                event.succeed_now()
+            else:
+                self._waiters.append(entry)
 
     # -- hardware accounting ---------------------------------------------------
 

@@ -184,7 +184,7 @@ class ReadyIdlePairing(Transport):
         while not sched.gpu_done(gpu):
             sender = sched.find_sender_for(gpu)
             if sender is None:
-                yield sched.wait_change()
+                yield sched.wait_pair(gpu)
                 continue
             sched.begin(sender, gpu)
             pixels = int(matrix[sender, gpu]) * self.samples

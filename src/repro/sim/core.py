@@ -1,9 +1,10 @@
 """A small discrete-event simulation kernel.
 
 This is the substrate underneath the cycle-level timing model: a priority
-queue of timestamped events, generator-based processes, and combinators for
-waiting on several events. The API is intentionally close to SimPy's, which
-keeps the timing models readable:
+queue of timestamped events with a FIFO lane for zero-delay ones,
+generator-based processes, and combinators for waiting on several events.
+The API is intentionally close to SimPy's, which keeps the timing models
+readable:
 
     def worker(sim):
         yield sim.timeout(10)          # advance 10 cycles
@@ -22,7 +23,9 @@ bandwidth).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from collections import deque
+from typing import (Any, Callable, Deque, Generator, Iterable, List,
+                    Optional)
 
 from ..analysis.sanitizer import ACCESS_WRITE, RaceSanitizer
 from ..errors import SimulationError, WatchdogError
@@ -65,6 +68,20 @@ class Event:
         self._value = value
         self.sim._schedule(self, delay=0.0)
         return self
+
+    def succeed_now(self, value: Any = None) -> None:
+        """Trigger the event and run its callbacks at once, off the queue.
+
+        Exact only where a zero-delay entry for this event would have
+        been processed next anyway: the caller runs inside an event
+        callback that stands in for a run of contiguous zero-delay
+        entries (the composition scheduler's batched re-check).
+        """
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        self._triggered = True
+        self._value = value
+        self._run_callbacks()
 
     def _run_callbacks(self) -> None:
         self._processed = True
@@ -232,6 +249,16 @@ class Process(Event):
 class Simulator:
     """The event loop: schedules events in (time, insertion-order) order.
 
+    Events due later wait in a heap of ``(time, sequence, event)``
+    entries. An event due *now* (``now + delay == now``, zero delays and
+    delays that round away alike) goes to a FIFO lane instead, a deque
+    that skips the heap. :meth:`step` drains heap entries due at ``now``
+    before the lane: they were scheduled before the clock reached
+    ``now``, so they precede every lane entry in insertion order, and no
+    new heap entry can fall due at ``now`` once the clock is there. The
+    lane is empty whenever the clock moves, so the combined order is
+    exactly the heap's ``(time, sequence)`` order.
+
     With ``sanitize=True`` the kernel carries a
     :class:`~repro.analysis.sanitizer.RaceSanitizer`; instrumented shared
     state (framebuffer regions, resources, scheduler tables) reports its
@@ -246,6 +273,8 @@ class Simulator:
                 f"watchdog_cycles must be positive (got {watchdog_cycles})")
         self.now: float = 0.0
         self._queue: List[tuple] = []
+        #: events due at ``now``, in insertion order (see the class doc)
+        self._lane: Deque[Event] = deque()
         self._sequence = 0
         self._running = False
         self._processes: List[Process] = []
@@ -293,7 +322,11 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, event))
+        time = self.now + delay
+        if time == self.now:
+            self._lane.append(event)
+            return
+        heapq.heappush(self._queue, (time, self._sequence, event))
         self._sequence += 1
 
     def _register_process(self, process: Process) -> None:
@@ -301,12 +334,16 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("no scheduled events")
-        time, _, event = heapq.heappop(self._queue)
-        if time < self.now:
-            raise SimulationError("event scheduled in the past")
-        self.now = time
+        queue = self._queue
+        if self._lane and not (queue and queue[0][0] <= self.now):
+            event = self._lane.popleft()
+        else:
+            if not queue:
+                raise SimulationError("no scheduled events")
+            time, _, event = heapq.heappop(queue)
+            if time < self.now:
+                raise SimulationError("event scheduled in the past")
+            self.now = time
         event._run_callbacks()
 
     def run(self, until: Optional[float] = None,
@@ -326,19 +363,28 @@ class Simulator:
         :class:`~repro.errors.WatchdogError` naming the still-unfinished
         processes. The queue never drains in a livelock, so the drain
         check alone cannot catch it.
+
+        The clock never runs backwards: ``until`` earlier than ``now``
+        raises :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("simulator is already running")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until cycle {until}: the clock is already at "
+                f"{self.now}")
         budget: Optional[float] = None
         if self.watchdog_cycles is not None:
             budget = self.now + self.watchdog_cycles
         self._running = True
         try:
-            while self._queue:
-                if until is not None and self._queue[0][0] > until:
+            lane, queue = self._lane, self._queue
+            while lane or queue:
+                due = self.now if lane else queue[0][0]
+                if until is not None and due > until:
                     self.now = until
                     break
-                if budget is not None and self._queue[0][0] > budget:
+                if budget is not None and due > budget:
                     stuck = self.stuck_processes()
                     details = "; ".join(
                         f"{p.name!r} waiting on {p.describe_wait()}"
@@ -346,13 +392,13 @@ class Simulator:
                     raise WatchdogError(
                         f"virtual-time watchdog tripped at cycle "
                         f"{self.now:,.0f}: next event at cycle "
-                        f"{self._queue[0][0]:,.0f} exceeds the "
+                        f"{due:,.0f} exceeds the "
                         f"{self.watchdog_cycles:,.0f}-cycle budget; "
                         f"{details}")
                 self.step()
         finally:
             self._running = False
-        if watchdog and not self._queue:
+        if watchdog and not self._lane and not self._queue:
             self._check_deadlock()
         return self.now
 

@@ -127,30 +127,100 @@ class TestCompletion:
             sched.start_group(0, allowed_partners=[{1}])
 
 
-class TestWaitChange:
+class TestWaitPair:
+    """``wait_pair`` fires in the one re-check a table change schedules,
+    so every wake is observed after ``sim.run()``."""
+
     def test_notify_on_ready(self):
         sim = Simulator()
         sched = ImageCompositionScheduler(2, sim)
         sched.start_group(0)
-        event = sched.wait_change()
         sched.mark_ready(0)
-        assert event.triggered
+        event = sched.wait_pair(0)
+        sched.mark_ready(1)
+        assert not event.triggered
+        sim.run()
+        assert event.processed
 
     def test_notify_on_complete(self):
+        sim = Simulator()
+        sched = ImageCompositionScheduler(3, sim)
+        sched.start_group(0)
+        for gpu in range(3):
+            sched.mark_ready(gpu)
+        sched.begin(1, 0)
+        sched.begin(2, 1)
+        # GPU1 is receiving from GPU2: nothing to pull until that finishes
+        event = sched.wait_pair(1)
+        sched.complete(2, 1)
+        sim.run()
+        assert event.processed
+        assert sched.find_sender_for(1) == 0
+
+    def test_no_eligible_sender_stays_pending(self):
+        sim = Simulator()
+        sched = ImageCompositionScheduler(4, sim)
+        # GPU0 may pull only from GPU1; GPU3 pairs with nobody
+        sched.start_group(0, allowed_partners=[{1}, {0, 2}, {1}, set()])
+        sched.mark_ready(1)
+        sched.mark_ready(2)
+        sched.begin(1, 2)
+        sched.mark_ready(0)
+        event = sched.wait_pair(0)
+        sched.mark_ready(3)  # a change that frees no sender for GPU0
+        sim.run()
+        assert not event.triggered
+        sched.complete(1, 2)  # GPU1 stops sending
+        sim.run()
+        assert event.processed
+        assert sched.find_sender_for(0) == 1
+
+    def test_first_waiter_claims_first(self):
+        sim = Simulator()
+        sched = ImageCompositionScheduler(3, sim)
+        # GPU0 and GPU2 can only pull from GPU1
+        sched.start_group(0, allowed_partners=[{1}, {0, 2}, {1}])
+        sched.mark_ready(0)
+        sched.mark_ready(2)
+        claims = []
+
+        def receiver(gpu):
+            while sched.find_sender_for(gpu) is None:
+                yield sched.wait_pair(gpu)
+            sender = sched.find_sender_for(gpu)
+            sched.begin(sender, gpu)
+            claims.append((sim.now, gpu, sender))
+
+        def late_sender():
+            yield sim.timeout(5)
+            sched.mark_ready(1)
+
+        sim.process(receiver(2))
+        sim.process(receiver(0))
+        sim.process(late_sender())
+        sim.run(watchdog=False)
+        # GPU2 waited first, so the re-check reaches it first; once it
+        # claims GPU1, GPU0 has no sender and keeps waiting
+        assert claims == [(5, 2, 1)]
+        assert len(sim.stuck_processes()) == 1
+
+    def test_exclusion_wakes_a_finished_gpu(self):
         sim = Simulator()
         sched = ImageCompositionScheduler(2, sim)
         sched.start_group(0)
         sched.mark_ready(0)
-        sched.mark_ready(1)
-        sched.begin(1, 0)
-        event = sched.wait_change()
-        sched.complete(1, 0)
-        assert event.triggered
+        event = sched.wait_pair(0)
+        # GPU1 fail-stops before it was ever ready: GPU0's partner set
+        # empties, so gpu_done holds and the waiter wakes
+        sched.exclude_gpu(1)
+        assert sched.gpu_done(0)
+        sim.run()
+        assert event.processed
 
     def test_without_sim_rejected(self):
         sched = ImageCompositionScheduler(2)
         with pytest.raises(SchedulingError):
-            sched.wait_change()
+            sched.wait_pair(0)
 
 
 class TestAdjacencyPairs:

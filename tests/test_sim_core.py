@@ -189,6 +189,24 @@ class TestRunControl:
         sim.process(proc())
         assert sim.run() == 17.0
 
+    def test_run_until_never_moves_the_clock_back(self, sim):
+        seen = []
+
+        def proc():
+            for _ in range(3):
+                yield sim.timeout(25)
+                seen.append(sim.now)
+
+        sim.process(proc())
+        assert sim.run(until=60) == 60
+        with pytest.raises(SimulationError, match="already at 60"):
+            sim.run(until=30)
+        assert sim.now == 60
+        # a timeout made now still lands after everything processed so far
+        late = sim.timeout(5)
+        assert sim.run() == 75
+        assert late.processed and seen == [25, 50, 75]
+
 
 class TestDeadlockWatchdog:
     def test_mutual_wait_names_both_processes(self, sim):
