@@ -7,10 +7,11 @@ fail-stop recovery, and every speedup figure trustworthy):
 - **simlint** (:mod:`repro.analysis.simlint`, :mod:`repro.analysis.rules`) —
   an AST-based lint over Python sources with simulator-specific rules:
   unseeded global RNG use, wall-clock reads, iteration over unordered sets,
-  mutable default arguments, sim processes yielding non-Event values, and
+  mutable default arguments, sim processes yielding non-Event values,
   broad exception handlers that can swallow the kernel's process-kill
-  exception. ``python -m repro lint`` drives it; ``# simlint:
-  disable=<rule>`` suppresses a finding on its line.
+  exception, and two error-contract rules (a silently swallowed library
+  error, a raise of bare ``Exception``). ``python -m repro lint`` drives
+  it; ``# simlint: disable=<rule>`` suppresses a finding on its line.
 
 - **race sanitizer** (:mod:`repro.analysis.sanitizer`) — opt-in runtime
   instrumentation of the DES kernel (``Simulator(sanitize=True)``, CLI
@@ -18,31 +19,27 @@ fail-stop recovery, and every speedup figure trustworthy):
   resources and flags same-cycle write-write and read-write conflicts
   between distinct processes.
 
-The **deep** layer (``python -m repro lint --deep``) adds project-wide
-passes on a shared symbol table / call graph
-(:mod:`repro.analysis.flow`): a units/dimension checker for the timing
-model (:mod:`repro.analysis.units`), a nondeterminism taint pass
-(:mod:`repro.analysis.taint`), a resource-protocol / deadlock analyzer
-for the sim kernel (:mod:`repro.analysis.protocol`), an
-error-contract checker over the exception taxonomy and exit-code
-registry (:mod:`repro.analysis.contract`), an interprocedural
-effect/purity inference guarding the geometry/fragment phase split
-plus a per-fragment-path allocation lint
-(:mod:`repro.analysis.effects`), and a cache-key soundness check over
-every ArtifactStore ``cached``/``store_key`` site
-(:mod:`repro.analysis.cachekey`) — with a JSON baseline
-workflow (:mod:`repro.analysis.baseline`) for incremental adoption and
-``--changed`` scoping (:mod:`repro.analysis.scope`) to keep the deep
-pass fast on large trees.
+The **deep** layer (``python -m repro lint --deep``) adds the
+project-wide passes no runtime check can replace, on a shared symbol
+table / call graph (:mod:`repro.analysis.flow`): a units/dimension
+checker for the timing model (:mod:`repro.analysis.units`), a
+nondeterminism taint pass (:mod:`repro.analysis.taint`) and a
+per-fragment allocation lint (:mod:`repro.analysis.hotalloc`). A JSON
+baseline workflow (:mod:`repro.analysis.baseline`) supports incremental
+adoption and ``--changed`` scoping (:mod:`repro.analysis.scope`) keeps
+the deep pass fast on large trees.
+
+Properties once policed by other deep passes now hold at runtime or by
+construction: artifact-store keys are derived from a compute function's
+inputs (``RenderService.memo``), the exit-code ladder is checked by a
+test over the live taxonomy, and the DES kernel's drain watchdog turns a
+leaked port hold or a lock-order deadlock into a typed error.
 """
 
 from .baseline import (filter_baselined, finding_key, load_baseline,
                        save_baseline)
-from .cachekey import CacheKeyChecker
-from .contract import ContractChecker
-from .effects import EffectChecker, EffectSummary, HotAllocChecker
 from .flow import ClassInfo, FunctionInfo, Project
-from .protocol import ProtocolChecker
+from .hotalloc import HotAllocChecker
 from .rules import (PROJECT_RULES, RULES, ProjectRule, Rule,
                     all_rule_descriptions, default_project_rules,
                     default_rules, register, register_project)
@@ -61,19 +58,14 @@ __all__ = [
     "ACCESS_WRITE",
     "CONFLICT_RW",
     "CONFLICT_WW",
-    "CacheKeyChecker",
     "ClassInfo",
     "Conflict",
-    "ContractChecker",
-    "EffectChecker",
-    "EffectSummary",
     "Finding",
     "FunctionInfo",
     "HotAllocChecker",
     "PROJECT_RULES",
     "Project",
     "ProjectRule",
-    "ProtocolChecker",
     "RULES",
     "RaceSanitizer",
     "Rule",

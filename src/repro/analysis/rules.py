@@ -20,13 +20,16 @@ The built-in rules target the determinism hazards of a discrete-event
 simulator: anything that makes two runs of the same seed diverge (global
 RNG, wall clock, unordered iteration) and anything that silently corrupts
 the kernel's control flow (non-Event yields, handlers that swallow the
-``GeneratorExit`` raised by ``Process.kill``).
+``GeneratorExit`` raised by ``Process.kill``). Two more keep failures on
+the typed error contract (:mod:`repro.errors`): a handler must not
+silently swallow a library error, and a raise must not bypass the
+taxonomy with a bare ``Exception``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Type
+from typing import Dict, Iterator, List, Optional, Set, Type
 
 from .simlint import Finding, LintModule
 
@@ -58,8 +61,7 @@ def default_rules() -> List["Rule"]:
 def default_project_rules() -> List["ProjectRule"]:
     """Fresh instances of every registered deep pass, in name order."""
     # importing the pass modules is what registers them
-    from . import cachekey, contract, effects, protocol, taint, \
-        units  # noqa: F401
+    from . import hotalloc, taint, units  # noqa: F401
     return [PROJECT_RULES[name]() for name in sorted(PROJECT_RULES)]
 
 
@@ -70,8 +72,7 @@ def all_rule_descriptions() -> Dict[str, "RuleMeta"]:
     for name in sorted(RULES):
         cls = RULES[name]
         out[name] = RuleMeta(cls.description, cls.severity, False)
-    from . import cachekey, contract, effects, protocol, taint, \
-        units  # noqa: F401 - registration side effect
+    from . import hotalloc, taint, units  # noqa: F401 - registration
     for name in sorted(PROJECT_RULES):
         cls = PROJECT_RULES[name]
         out[name] = RuleMeta(cls.description, cls.severity, True)
@@ -521,3 +522,104 @@ class BroadExcept(Rule):
                     f"{label} swallows GeneratorExit from Process.kill "
                     f"and KeyboardInterrupt; catch Exception or add a "
                     f"bare `raise`")
+
+
+def _taxonomy_names(tree: ast.AST) -> Set[str]:
+    """Local names of the typed error taxonomy: every name imported from
+    an ``errors`` module (where the taxonomy lives), ``errors`` itself
+    when the module is imported whole, and the root ``ReproError``.
+    Empty for a module that does not use the taxonomy."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.module and node.module.split(".")[-1] == "errors":
+            names.update(alias.asname or alias.name for alias in node.names)
+        names.update(alias.asname or alias.name for alias in node.names
+                     if alias.name == "errors")
+    return names | {"ReproError"} if names else names
+
+
+def _caught_name(type_expr: Optional[ast.expr],
+                 taxonomy: Set[str]) -> Optional[str]:
+    """The taxonomy class (or bare ``Exception``) a handler catches."""
+    if isinstance(type_expr, ast.Tuple):
+        names = (_caught_name(e, taxonomy) for e in type_expr.elts)
+        return next((name for name in names if name is not None), None)
+    chain = _dotted(type_expr) or []
+    if chain == ["Exception"] or (len(chain) == 1 and chain[0] in taxonomy):
+        return chain[0]
+    if len(chain) >= 2 and chain[-2] == "errors":
+        return chain[-1]
+    return None
+
+
+def _is_silent_body(stmts: List[ast.stmt]) -> bool:
+    """True when a handler body neither re-raises nor handles: only
+    ``pass``/``continue``/``break``, docstrings and ``return None``."""
+    if any(isinstance(node, ast.Raise)
+           for stmt in stmts for node in ast.walk(stmt)):
+        return False
+    for stmt in stmts:
+        value = getattr(stmt, "value", None)
+        if isinstance(stmt, (ast.Pass, ast.Continue, ast.Break)) \
+                or (isinstance(stmt, ast.Expr)
+                    and isinstance(value, ast.Constant)) \
+                or (isinstance(stmt, ast.Return)
+                    and (value is None or (isinstance(value, ast.Constant)
+                                           and value.value is None))):
+            continue
+        return False
+    return True
+
+
+@register
+class SwallowedError(Rule):
+    """A handler that catches a typed library error (or bare
+    ``Exception``, which catches the whole taxonomy) and does nothing
+    with it makes the failure, and its exit code, disappear. Handlers
+    that log, record or map the error are fine, and so is a module that
+    does not import the taxonomy at all (plain scripts and fixtures)."""
+
+    name = "contract-swallowed"
+    description = ("except clause that silently swallows a typed "
+                   "library error")
+
+    def check(self, module: LintModule) -> Iterator[Finding]:
+        taxonomy = _taxonomy_names(module.tree)
+        if not taxonomy:
+            return
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = _caught_name(node.type, taxonomy)
+            if caught is not None and _is_silent_body(node.body):
+                yield module.finding(
+                    node, self.name,
+                    f"except {caught}: swallows a typed library error "
+                    "without re-raise or handling — the failure (and its "
+                    "exit code) disappears silently")
+
+
+@register
+class RaiseGeneric(Rule):
+    """``raise Exception(...)`` bypasses the typed taxonomy, so ``main()``
+    cannot map the failure to a deterministic exit code."""
+
+    name = "contract-raise-generic"
+    description = ("raise of bare Exception/BaseException instead of a "
+                   "taxonomy class")
+
+    def check(self, module: LintModule) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(exc, ast.Name) \
+                    and exc.id in ("Exception", "BaseException"):
+                yield module.finding(
+                    node, self.name,
+                    f"raise of bare {exc.id} bypasses the typed error "
+                    "taxonomy and the exit-code contract; raise a "
+                    "ReproError subclass instead")

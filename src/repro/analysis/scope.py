@@ -1,7 +1,7 @@
 """Change-scoped linting: ``repro lint --changed [REF]``.
 
-As the tree grows, the deep passes (units, taint, protocol, contract)
-stay whole-program — they must, to follow values across modules — but
+As the tree grows, the deep passes (units, taint, hot-alloc) stay
+whole-program — they must, to follow values across modules — but
 *reporting* can be scoped to what a change can actually affect. This
 module computes that scope:
 

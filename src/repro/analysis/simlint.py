@@ -128,9 +128,8 @@ def lint_paths(paths: Iterable[Union[str, pathlib.Path]],
     With ``deep=True``, additionally builds a
     :class:`~repro.analysis.flow.Project` over all the paths at once and
     runs the registered project-wide passes (units checker,
-    nondeterminism taint, resource protocol, error contract,
-    effect/purity inference + hot-path allocation lint, cache-key
-    soundness) on top of the per-statement rules.
+    nondeterminism taint, hot-path allocation lint) on top of the
+    per-statement rules.
 
     ``scope`` (a set of *resolved* paths, e.g. from
     :func:`~repro.analysis.scope.changed_scope`) restricts reporting:
@@ -176,8 +175,16 @@ def lint_project(files: Sequence[Union[str, pathlib.Path]],
     markers apply exactly as for per-statement findings.
     """
     from .flow import Project
-    from .rules import default_project_rules
     project = Project.from_paths([pathlib.Path(p) for p in files])
+    return check_project(project, project_rules)
+
+
+def check_project(project, project_rules: Optional[Iterable] = None
+                  ) -> List[Finding]:
+    """Run deep passes over an already built
+    :class:`~repro.analysis.flow.Project` (default: every registered
+    pass), with severities stamped and suppression markers applied."""
+    from .rules import default_project_rules
     findings: List[Finding] = []
     for rule in (default_project_rules() if project_rules is None
                  else project_rules):

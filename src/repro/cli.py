@@ -48,7 +48,7 @@ watchdog tripped; serve degrades in-band) · 10 unrecoverable injected
 fault · 11 scheduler reached an invalid state
 
 The mapping lives in :data:`repro.errors.EXIT_CODES` (re-exported here)
-so the error-contract lint pass and ``main()`` consume one registry.
+so ``main()`` and the error-contract test consume one registry.
 """
 
 from __future__ import annotations
@@ -418,10 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--deep", action="store_true",
                       help="also run the project-wide passes (units/"
                            "dimension checker, nondeterminism taint, "
-                           "resource protocol, error contract, "
-                           "effect/purity inference with the hot-path "
-                           "allocation lint, cache-key soundness) over "
-                           "all paths as one program")
+                           "hot-path allocation lint) over all paths as "
+                           "one program")
     lint.add_argument("--changed", nargs="?", const="main", default=None,
                       metavar="REF",
                       help="report only files touched since merge-base "

@@ -55,10 +55,15 @@ def plan_group(group: CompositionGroup, config: SystemConfig,
                threshold: Optional[int] = None) -> GroupPlan:
     """Apply the Fig 7 workflow to one group."""
     limit = config.composition_threshold if threshold is None else threshold
+    return _plan_group(group, config.num_gpus, limit)
+
+
+def _plan_group(group: CompositionGroup, num_gpus: int,
+                limit: int) -> GroupPlan:
     if group.num_triangles < limit:
         return GroupPlan(group=group, mode=GroupMode.DUPLICATE)
     if group.transparent:
-        chunks = even_split_by_triangles(group.draws, config.num_gpus)
+        chunks = even_split_by_triangles(group.draws, num_gpus)
         return GroupPlan(group=group, mode=GroupMode.TRANSPARENT_PARALLEL,
                          chunks=chunks, needs_extra_target=True)
     from ..framebuffer.depth import is_order_independent
@@ -84,16 +89,19 @@ def plan_trace_frame(trace, config: SystemConfig,
     GPU count and the composition threshold, so the plan is a cacheable
     artifact like any other: CHOPIN's functional prep, ``inspect`` and
     the experiments all share one computation per configuration.
+    ``config`` needs only ``num_gpus`` and ``composition_threshold``.
     """
     from ..render import render_service
-    from .grouping import split_into_groups
 
     limit = config.composition_threshold if threshold is None else threshold
-    return render_service().cached(
-        "plan",
-        {"trace": trace.fingerprint, "num_gpus": config.num_gpus,
-         "threshold": limit},
-        lambda: plan_frame(split_into_groups(trace.frame), config, limit))
+    return render_service().memo("plan", _plan_trace, trace=trace,
+                                 num_gpus=config.num_gpus, threshold=limit)
+
+
+def _plan_trace(trace, num_gpus: int, threshold: int) -> List[GroupPlan]:
+    from .grouping import split_into_groups
+    return [_plan_group(group, num_gpus, threshold)
+            for group in split_into_groups(trace.frame)]
 
 
 class PipelineWindow:

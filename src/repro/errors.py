@@ -8,9 +8,9 @@ constants, the :data:`EXIT_CODES` isinstance ladder (most specific
 first) that maps every taxonomy class to a deterministic exit code, and
 the :data:`GENERIC_EXIT` allowlist recording which classes *deliberately*
 fall through to the generic catch-all code. ``repro.cli`` consumes this
-registry via :func:`exit_code_for`, and the deep-lint error-contract
-pass (:mod:`repro.analysis.contract`) checks it stays total, collision-
-free, and documented.
+registry via :func:`exit_code_for`; the error-contract test walks every
+``ReproError`` subclass at runtime to check the registry stays total,
+collision-free, and documented in the CLI's exit-code table.
 """
 
 
@@ -137,7 +137,7 @@ class RetryBudgetExhausted(HarnessError):
 #
 # Single source of truth for ``python -m repro`` exit codes. ``cli.py``
 # re-exports these names for backward compatibility; the error-contract
-# lint pass parses this block to prove every taxonomy class maps
+# test reads this registry to prove every taxonomy class maps
 # deterministically.
 
 EXIT_OK = 0
@@ -166,8 +166,8 @@ EXIT_CODES = ((RetryBudgetExhausted, EXIT_BUDGET), (JobTimeout, EXIT_TIMEOUT),
 
 #: taxonomy classes that *deliberately* map to the generic catch-all
 #: exit code (EXIT_ERROR); subclasses inherit the decision unless they
-#: appear in the ladder themselves. Checked by the contract lint pass:
-#: a class in neither EXIT_CODES nor (transitively) this set is flagged.
+#: appear in the ladder themselves. Checked by the error-contract test:
+#: a class in neither EXIT_CODES nor (transitively) this set fails it.
 GENERIC_EXIT = frozenset({
     "SimulationError",   # kernel misuse: a bug, not an outcome
     "PipelineError",     # driven with invalid inputs: a bug

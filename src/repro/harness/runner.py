@@ -15,7 +15,9 @@ Everything the benchmark harness and the examples need to launch a run:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Type
 
 from ..config import SystemConfig
@@ -70,6 +72,14 @@ class Setup:
         # the modification invalidates origin: no longer replayable
         return Setup(scale=self.scale, config=replace(self.config, **kwargs),
                      costs=self.costs)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Content address of everything a run reads from this setup:
+        the scale, the whole config and the cost model. ``origin`` is
+        provenance, not input, and stays out."""
+        identity = repr((self.scale, self.config, self.costs))
+        return hashlib.sha256(identity.encode()).hexdigest()
 
     @property
     def gpupd_batch(self) -> int:
@@ -185,34 +195,20 @@ def build_scheme(name: str, setup: Setup) -> SFRScheme:
     return cls(setup.config, setup.costs)
 
 
-def _result_fields(scheme: str, trace: Trace, setup: Setup) -> dict:
-    """Identifying fields of one run's result artifact.
+def _run_scheme(scheme: str, trace: Trace, trace_name: str,
+                setup: Setup) -> SchemeResult:
+    """One uncached run, with its store-counter growth stamped on.
 
-    Mirrors what used to be the runner's private ``_cache_key`` tuple,
-    with the trace identified by content fingerprint instead of
-    ``id()`` so entries survive re-loading and disk spill. Fault plans
-    are keyed by their (deterministic) repr.
+    ``trace_name`` is an input of its own because the result records
+    it while ``Trace.fingerprint`` leaves names out.
     """
-    cfg = setup.config
-    return {
-        "scheme": scheme, "trace": trace.fingerprint,
-        "trace_name": trace.name, "scale": setup.scale,
-        "num_gpus": cfg.num_gpus, "tile_size": cfg.tile_size,
-        "composition_threshold": cfg.composition_threshold,
-        "scheduler_update_interval": cfg.scheduler_update_interval,
-        "retained_cull_fraction": cfg.retained_cull_fraction,
-        "bandwidth_gb_per_s": cfg.link.bandwidth_gb_per_s,
-        "latency_cycles": cfg.link.latency_cycles,
-        "link_ideal": cfg.link.ideal, "topology": cfg.link.topology,
-        "msaa_samples": cfg.msaa_samples,
-        "model_memory": setup.costs.model_memory,
-        "dram_bandwidth_bytes_per_s": cfg.gpu.dram_bandwidth_bytes_per_s,
-        "faults": repr(cfg.faults) if cfg.faults is not None else None,
-        "sanitize": cfg.sanitize,
-        # 0 = unbounded window; part of the key so depth variants of the
-        # same setup never collide in the result cache
-        "pipeline_depth": cfg.pipeline_depth or 0,
-    }
+    from ..render import render_service
+    service = render_service()
+    before = service.counters()
+    result = build_scheme(scheme, setup).run(trace)
+    result.trace_name = trace_name
+    result.stats.stamp_store(service.counters().delta(before))
+    return result
 
 
 def run(scheme: str, trace: Trace, setup: Setup,
@@ -225,19 +221,12 @@ def run(scheme: str, trace: Trace, setup: Setup,
     much cached work each run reused. Hits return the stored result
     unchanged — its counters describe the run that computed it.
     """
-    from ..render import render_service
-    service = render_service()
-
-    def compute() -> SchemeResult:
-        before = service.counters()
-        result = build_scheme(scheme, setup).run(trace)
-        result.stats.stamp_store(service.counters().delta(before))
-        return result
-
     if not use_cache:
-        return compute()
-    return service.cached("result", _result_fields(scheme, trace, setup),
-                          compute)
+        return _run_scheme(scheme, trace, trace.name, setup)
+    from ..render import render_service
+    return render_service().memo("result", _run_scheme, scheme=scheme,
+                                 trace=trace, trace_name=trace.name,
+                                 setup=setup)
 
 
 def run_benchmark_direct(scheme: str, benchmark: str,

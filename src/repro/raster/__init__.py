@@ -1,13 +1,9 @@
-"""Rasterization substrate: tiling, the rasterizer, the functional pipeline."""
+"""Rasterization substrate: tiling and the rasterizer."""
 
-from .pipeline import DrawMetrics, GraphicsPipeline, GroupMetrics
 from .rasterizer import estimate_coverage, rasterize_triangles
 from .tiles import TileGrid
 
 __all__ = [
-    "DrawMetrics",
-    "GraphicsPipeline",
-    "GroupMetrics",
     "TileGrid",
     "estimate_coverage",
     "rasterize_triangles",

@@ -1,9 +1,12 @@
 """The two functional phases: geometry (cacheable) and fragment (live).
 
-``geometry_phase`` is the assignment-independent front half of the old
-``GraphicsPipeline.execute_draw``: transform, near clip, frustum cull,
-perspective divide, screen mapping, and tile binning, producing a
-:class:`~repro.render.artifact.DrawArtifact`.
+``geometry_phase`` is the assignment-independent front half of
+rendering a draw: transform, near clip, frustum cull, perspective
+divide, screen mapping, and tile binning, producing a
+:class:`~repro.render.artifact.DrawArtifact`. Its output depends on its
+four arguments only, which is what lets the artifact store key it on
+exactly them (:meth:`~repro.render.service.RenderService.memo`) and
+share it across schemes, GPU counts, subsets and fault plans.
 
 ``fragment_phase`` is the back half: rasterization, early/late depth
 testing, shading and blending of one artifact against a surface pool.
@@ -30,6 +33,7 @@ stream, so the Fig 16 outputs do not depend on the batching.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional
 
 import numpy as np
@@ -49,18 +53,33 @@ from .artifact import DrawArtifact, DrawMetrics, empty_artifact
 _RGBA = np.arange(4)
 
 
-def geometry_phase(draw: DrawCommand,  # effect: pure
-                   mvp: Optional[np.ndarray],
+class Camera:
+    """A trace's view-projection matrix plus its content address.
+
+    ``matrix=None`` means the draws are already in clip space (identity
+    transform). ``fingerprint`` lets the artifact store key a geometry
+    artifact on the camera (see :meth:`RenderService.memo`).
+    """
+
+    __slots__ = ("matrix", "fingerprint")
+
+    def __init__(self, matrix: Optional[np.ndarray]) -> None:
+        self.matrix = matrix
+        self.fingerprint = "ndc" if matrix is None else hashlib.sha256(
+            np.ascontiguousarray(matrix).tobytes()).hexdigest()
+
+
+def geometry_phase(draw: DrawCommand, camera: Camera,
                    width: int, height: int) -> DrawArtifact:
     """Run the geometry stage of one draw command.
 
-    ``width``/``height`` fix the screen mapping, so an artifact is keyed
-    by (draw content, camera, resolution) and nothing else — the
-    ``# effect: pure`` declaration is enforced by the deep lint's
-    effect inference (`effect-undeclared` fires if this stops holding).
+    The result depends on its four arguments and nothing else, which is
+    what lets :meth:`RenderService.memo` key the artifact on exactly
+    them: ``width``/``height`` fix the screen mapping.
     """
     if draw.num_triangles == 0:
         return empty_artifact(0)
+    mvp = camera.matrix
     clip = transform_positions(
         draw.positions, mvp if mvp is not None else np.eye(4))
     colors = draw.colors
@@ -245,7 +264,7 @@ def _rank_layers(pixels: np.ndarray) -> tuple:
         np.bincount(rank).tolist()
 
 
-def _write(target, depth_buf, pixels, depths,  # effect: mutates-args
+def _write(target, depth_buf, pixels, depths,
            shaded_colors, state, metrics, touched) -> None:
     """Blend surviving fragments into the render target.
 

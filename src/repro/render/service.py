@@ -1,16 +1,18 @@
 """RenderService: the one functional-rendering facade the repo consumes.
 
-Schemes, the harness and the CLI no longer drive
-``raster.pipeline.GraphicsPipeline`` directly; they open a
-:class:`RenderSession` on a trace and execute draws through it. The
-session pulls each draw's geometry-phase output from the
-content-addressed :class:`~repro.render.store.ArtifactStore` (computing
-it on a miss) and runs only the subset-dependent fragment phase live.
+Schemes, the harness and the CLI open a :class:`RenderSession` on a
+trace and execute draws through it. The session pulls each draw's
+geometry-phase output from the content-addressed
+:class:`~repro.render.store.ArtifactStore` (computing it on a miss) and
+runs only the subset-dependent fragment phase live.
 
-The service also owns the coarser cached artifacts that used to live in
-three ad-hoc module dicts — the reference pass, CHOPIN's functional
-prep, frame plans and full scheme results — via :meth:`cached`, giving
-them a single invalidation story (:meth:`reset`) and shared counters.
+Every stored artifact goes through one call, :meth:`RenderService.memo`:
+``memo(kind, fn, **inputs)`` returns ``fn(**inputs)`` and derives the
+store key from exactly those inputs. A compute function therefore cannot
+read anything its key leaves out: it gets no ``self`` and no closure,
+only its keyword arguments. The six kinds are ``geometry``,
+``reference``, ``projection``, ``plan``, ``chopin-prep`` and ``result``;
+:meth:`reset` is their single invalidation story.
 
 A module-level singleton (:func:`render_service`) makes the warm store
 ambient: the experiment engine pre-warms it once per sweep, fork-based
@@ -21,8 +23,9 @@ across processes via disk spill.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-from typing import Callable, Dict, Iterator, Optional
+import dataclasses
+import inspect
+from typing import Callable, Dict, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -32,17 +35,54 @@ from ..geometry.primitives import DrawCommand
 from ..raster.tiles import TileGrid
 from ..traces.trace import Trace
 from .artifact import DrawArtifact, DrawMetrics
-from .phases import fragment_phase, geometry_phase
+from .phases import Camera, fragment_phase, geometry_phase
 from .reference import ReferencePass, build_shader_library
 from .store import ArtifactStore, StoreCounters, store_key
+
+T = TypeVar("T")
+
+#: JSON scalars a memo input may be passed as directly
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def memo_fields(inputs: Dict[str, object]) -> Dict[str, object]:
+    """Store-key fields of one memo call's keyword inputs.
+
+    A JSON scalar keys as itself and an object with a ``fingerprint``
+    keys as that fingerprint. A frozen dataclass without one (an inputs
+    record) contributes each of its fields under the field's own name.
+    Anything else is refused: it has no stable content address.
+    """
+    fields: Dict[str, object] = {}
+
+    def add(name: str, value: object) -> None:
+        if name in fields:
+            raise TypeError(f"memo input {name!r} is given twice")
+        fingerprint = getattr(value, "fingerprint", None)
+        if fingerprint is not None:
+            fields[name] = fingerprint
+        elif isinstance(value, _SCALARS):
+            fields[name] = value
+        elif (dataclasses.is_dataclass(value)
+              and value.__dataclass_params__.frozen):
+            for spec in dataclasses.fields(value):
+                add(spec.name, getattr(value, spec.name))
+        else:
+            raise TypeError(
+                f"memo input {name!r} ({type(value).__name__}) is not a "
+                "JSON scalar, a fingerprinted object or a frozen "
+                "dataclass of those")
+
+    for name, value in inputs.items():
+        add(name, value)
+    return fields
 
 
 class RenderSession:
     """One trace bound to the service: resolution, camera, shaders.
 
-    ``execute_draw`` keeps the exact signature of the old
-    ``GraphicsPipeline.execute_draw`` minus ``mvp`` (the session knows
-    its trace's camera), so scheme code ports mechanically.
+    ``execute_draw`` renders one draw against a surface pool; the
+    session supplies the trace's camera and resolution.
     """
 
     def __init__(self, service: "RenderService", trace: Trace) -> None:
@@ -50,22 +90,14 @@ class RenderSession:
         self.trace = trace
         self.width = trace.width
         self.height = trace.height
-        self.camera = trace.camera
+        self.camera = Camera(trace.camera)
         self.shaders = build_shader_library(trace)
-        if trace.camera is None:
-            self._camera_fp = "ndc"
-        else:
-            self._camera_fp = hashlib.sha256(
-                np.ascontiguousarray(trace.camera).tobytes()).hexdigest()
 
     def artifact(self, draw: DrawCommand) -> DrawArtifact:
         """Geometry-phase output for one draw, via the artifact store."""
-        key = store_key("geometry", {
-            "draw": draw.fingerprint, "camera": self._camera_fp,
-            "width": self.width, "height": self.height})
-        return self.service.store.cached(
-            key, lambda: geometry_phase(draw, self.camera,
-                                        self.width, self.height))
+        return self.service.memo("geometry", geometry_phase, draw=draw,
+                                 camera=self.camera, width=self.width,
+                                 height=self.height)
 
     def execute_draw(self, draw: DrawCommand, surfaces: SurfacePool,
                      owner_mask: Optional[np.ndarray] = None,
@@ -94,12 +126,24 @@ class RenderService:
     def session(self, trace: Trace) -> RenderSession:
         return RenderSession(self, trace)
 
-    # -- generic cached artifacts ------------------------------------------
+    # -- stored artifacts --------------------------------------------------
 
-    def cached(self, kind: str, fields: Dict[str, object],
-               compute: Callable[[], object]) -> object:
-        """Store-backed memoization of any JSON-keyable artifact."""
-        return self.store.cached(store_key(kind, fields), compute)
+    def memo(self, kind: str, fn: Callable[..., T], /, **inputs) -> T:
+        """``fn(**inputs)``, stored under a key derived from ``inputs``.
+
+        ``fn`` must be a plain function: no bound ``self`` and no
+        closure (a ``functools.wraps`` wrapper is judged by what it
+        wraps). Its keyword inputs are then everything it can read, so
+        the key (see :func:`memo_fields`) cannot miss an input and
+        cannot name one ``fn`` does not take.
+        """
+        target = inspect.unwrap(fn)
+        if not inspect.isfunction(target) or target.__closure__:
+            raise TypeError(
+                f"memo({kind!r}) needs a plain function without a bound "
+                f"self or a closure, got {fn!r}")
+        key = store_key(kind, memo_fields(inputs))
+        return self.store.cached(key, lambda: fn(**inputs))
 
     # -- the reference pass ------------------------------------------------
 
@@ -108,43 +152,10 @@ class RenderService:
         """Render the frame once on a virtual single GPU, attributing
         fragments to tile owners. Stored per (trace, num_gpus, tile_size)."""
         if not use_cache:
-            return self._compute_reference(trace, config)
-        return self.cached(
-            "reference",
-            {"trace": trace.fingerprint, "num_gpus": config.num_gpus,
-             "tile_size": config.tile_size},
-            lambda: self._compute_reference(trace, config))
-
-    def _compute_reference(self, trace: Trace,
-                           config: SystemConfig) -> ReferencePass:
-        frame = trace.frame
-        grid = TileGrid(trace.width, trace.height, config.tile_size)
-        owner_map = grid.owner_map(config.num_gpus)
-        session = self.session(trace)
-        pool = SurfacePool(trace.width, trace.height)
-        metrics = []
-        sync_points = []
-        touched: Dict[int, np.ndarray] = {}
-
-        previous: Optional[DrawCommand] = None
-        for index, draw in enumerate(frame.draws):
-            if previous is not None:
-                prev_state, state = previous.state, draw.state
-                if (prev_state.render_target != state.render_target
-                        or prev_state.depth_buffer != state.depth_buffer):
-                    sync_points.append(index)
-            mask = touched.setdefault(
-                draw.state.render_target,
-                np.zeros((trace.height, trace.width), dtype=bool))
-            metrics.append(session.execute_draw(
-                draw, pool, owner_map=owner_map,
-                num_owners=config.num_gpus, touched=mask))
-            previous = draw
-
-        return ReferencePass(trace=trace, num_gpus=config.num_gpus,
-                             grid=grid, owner_map=owner_map, pool=pool,
-                             metrics=metrics, sync_points=sync_points,
-                             touched=touched)
+            return _reference(trace, config.num_gpus, config.tile_size)
+        return self.memo("reference", _reference, trace=trace,
+                         num_gpus=config.num_gpus,
+                         tile_size=config.tile_size)
 
     # -- sweep pre-warm ----------------------------------------------------
 
@@ -172,8 +183,8 @@ class RenderService:
 
         ``kind`` restricts the drop to one namespace (``"geometry"``,
         ``"reference"``, ``"chopin-prep"``, ``"projection"``, ``"plan"``,
-        ``"result"``);
-        omit it to clear everything, memory and disk tiers both.
+        ``"result"``); omit it to clear everything, memory and disk
+        tiers both.
         """
         self.store.reset(kind)
 
@@ -205,6 +216,44 @@ class RenderService:
         finally:
             grew = self.store.counters.snapshot().delta(before)
             scope.__dict__.update(grew.__dict__)
+
+
+def _reference(trace: Trace, num_gpus: int,
+               tile_size: int) -> ReferencePass:
+    """The reference pass: the whole frame on one virtual GPU.
+
+    Geometry artifacts come from the ambient service's store; they are
+    content-addressed, so which store serves them cannot change the
+    result.
+    """
+    frame = trace.frame
+    grid = TileGrid(trace.width, trace.height, tile_size)
+    owner_map = grid.owner_map(num_gpus)
+    session = render_service().session(trace)
+    pool = SurfacePool(trace.width, trace.height)
+    metrics = []
+    sync_points = []
+    touched: Dict[int, np.ndarray] = {}
+
+    previous: Optional[DrawCommand] = None
+    for index, draw in enumerate(frame.draws):
+        if previous is not None:
+            prev_state, state = previous.state, draw.state
+            if (prev_state.render_target != state.render_target
+                    or prev_state.depth_buffer != state.depth_buffer):
+                sync_points.append(index)
+        mask = touched.setdefault(
+            draw.state.render_target,
+            np.zeros((trace.height, trace.width), dtype=bool))
+        metrics.append(session.execute_draw(
+            draw, pool, owner_map=owner_map,
+            num_owners=num_gpus, touched=mask))
+        previous = draw
+
+    return ReferencePass(trace=trace, num_gpus=num_gpus,
+                         grid=grid, owner_map=owner_map, pool=pool,
+                         metrics=metrics, sync_points=sync_points,
+                         touched=touched)
 
 
 _SERVICE: Optional[RenderService] = None

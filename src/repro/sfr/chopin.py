@@ -69,6 +69,7 @@ from ..raster.tiles import TileGrid
 from ..render import render_service
 from ..sim import Barrier, Event
 from ..stats import RunStats, STAGE_COMPOSITION, TRAFFIC_SYNC
+from ..timing.costs import CostModel
 from ..timing.gpu import DrawWork, GPUEngine
 from ..timing.interconnect import Interconnect
 from ..traces.trace import Trace
@@ -313,320 +314,24 @@ class Chopin(SFRScheme):
 
     # -------------------------------------------------------- assignment
 
-    def _make_scheduler(self, draws=()) -> DrawScheduler:
-        if self.draw_scheduler_kind == "round-robin":
-            return RoundRobinScheduler(self.config.num_gpus)
-        if self.draw_scheduler_kind == "oracle":
-            # Unrealistic upper bound (§IV-D: exact runtimes are unknown
-            # before execution): least-loaded by estimated *total* cycles.
-            return OracleLPTScheduler(
-                self.config.num_gpus,
-                costs=[self._estimate_draw_cycles(d) for d in draws])
-        if self.draw_scheduler_kind == "sampled":
-            # OO-VR-style: rates sampled from the first draws, reused for
-            # the frame (the §IV-D strawman the paper rejects).
-            return SampledRateScheduler(
-                self.config.num_gpus, self._sampled_estimates(draws))
-        return LeastRemainingTrianglesScheduler(self.config.num_gpus)
+    # -------------------------------------------------------- functional
 
-    def _sampled_estimates(self, draws, sample_size: int = 8):
-        """Wimmer-Wonka ``c1*#tv + c2*#pix`` with rates frozen from the
-        first ``sample_size`` draws."""
-        sample = list(draws)[:sample_size] or list(draws)
-        if not sample:
-            return []
-        c1 = float(np.mean([d.vertex_cost for d in sample])) \
-            / self.config.gpu.num_sms
-        c2 = float(np.mean([d.pixel_cost for d in sample])) \
-            / self.config.gpu.num_rops
-        estimates = []
-        for draw in draws:
-            pixels = self._estimate_draw_pixels(draw)
-            estimates.append(c1 * draw.num_triangles + c2 * pixels)
-        return estimates
+    def _prep_inputs(self) -> _PrepInputs:
+        cfg = self.config
+        return _PrepInputs(
+            prep_rev=2, num_gpus=cfg.num_gpus, tile_size=cfg.tile_size,
+            composition_threshold=cfg.composition_threshold,
+            scheduler_update_interval=cfg.scheduler_update_interval,
+            retained_cull_fraction=cfg.retained_cull_fraction,
+            draw_scheduler=self.draw_scheduler_kind, costs=self.costs)
 
-    def _estimate_draw_pixels(self, draw) -> float:
-        """Area-based pixel estimate against a nominal 10k-pixel screen."""
-        edges_a = draw.positions[:, 1, :2] - draw.positions[:, 0, :2]
-        edges_b = draw.positions[:, 2, :2] - draw.positions[:, 0, :2]
-        area_ndc = 0.5 * np.abs(edges_a[:, 0] * edges_b[:, 1]
-                                - edges_a[:, 1] * edges_b[:, 0]).sum()
-        return float(area_ndc) / 4.0 * 0.5 * 10_000
-
-    def _estimate_draw_cycles(self, draw) -> float:
-        """Geometry plus area-based fragment estimate for one draw."""
-        geometry = self.costs.geometry_cycles(draw.num_triangles,
-                                              draw.vertex_cost)
-        edges_a = draw.positions[:, 1, :2] - draw.positions[:, 0, :2]
-        edges_b = draw.positions[:, 2, :2] - draw.positions[:, 0, :2]
-        area_ndc = 0.5 * np.abs(edges_a[:, 0] * edges_b[:, 1]
-                                - edges_a[:, 1] * edges_b[:, 0]).sum()
-        # NDC covers 4 units^2; assume ~half the coverage survives early-Z
-        # and price it against a nominal 10k-pixel screen — LPT only needs
-        # *relative* costs, so the nominal size cancels out.
-        screen_fraction = float(area_ndc) / 4.0 * 0.5
-        fragments = int(screen_fraction * 10_000)
-        return geometry + self.costs.fragment_cycles(
-            draw.num_triangles, fragments, draw.pixel_cost)
+    def _functional_pass(self, trace: Trace) -> _ChopinPrep:
+        return render_service().memo("chopin-prep", _functional_pass,
+                                     trace=trace, prep=self._prep_inputs())
 
     def _assign_group(self, draws) -> Tuple[List[int], List[float]]:
         """Analytic driver replay: per-draw GPU assignment + issue times."""
-        n = self.config.num_gpus
-        scheduler = self._make_scheduler(draws)
-        issue_cost = self.costs.draw_issue_cost
-        interval = max(1, self.config.scheduler_update_interval)
-        free_at = [0.0] * n
-        pending: List[List[Tuple[float, int]]] = [[] for _ in range(n)]
-        pointers = [0] * n
-        assignment: List[int] = []
-        issue_times: List[float] = []
-        for k, draw in enumerate(draws):
-            now = k * issue_cost
-            for gpu in range(n):
-                chunks = pending[gpu]
-                while (pointers[gpu] < len(chunks)
-                       and chunks[pointers[gpu]][0] <= now):
-                    scheduler.report_processed(
-                        gpu, chunks[pointers[gpu]][1])
-                    pointers[gpu] += 1
-            gpu = scheduler.pick(draw.num_triangles)
-            assignment.append(gpu)
-            issue_times.append(now)
-            triangles = draw.num_triangles
-            if triangles:
-                cycles = self.costs.geometry_cycles(
-                    triangles, draw.vertex_cost)
-                start = max(free_at[gpu], now)
-                per_tri = cycles / triangles
-                done = 0
-                while done < triangles:
-                    chunk = min(interval, triangles - done)
-                    done += chunk
-                    pending[gpu].append((start + done * per_tri, chunk))
-                free_at[gpu] = start + cycles
-        return assignment, issue_times
-
-    # -------------------------------------------------------- functional
-
-    def _prep_fields(self, trace: Trace) -> dict:
-        """Identifying fields of this variant's functional prep artifact."""
-        cfg = self.config
-        return {
-            # bumped when the prep *content* changes shape: rev 2 added the
-            # per-GPU touched-tile bitmaps of opaque groups (DFB streaming)
-            "prep_rev": 2,
-            "trace": trace.fingerprint, "num_gpus": cfg.num_gpus,
-            "tile_size": cfg.tile_size,
-            "composition_threshold": cfg.composition_threshold,
-            "scheduler_update_interval": cfg.scheduler_update_interval,
-            "retained_cull_fraction": cfg.retained_cull_fraction,
-            "draw_scheduler": self.draw_scheduler_kind,
-            "draw_issue_cost": self.costs.draw_issue_cost,
-            "model_memory": self.costs.model_memory,
-            "fragment_memory_bytes": self.costs.fragment_memory_bytes,
-            "l2_hit_rate": self.costs.l2_hit_rate,
-            "dram_bandwidth_bytes_per_s":
-                self.costs.gpu.dram_bandwidth_bytes_per_s,
-        }
-
-    def _functional_pass(self, trace: Trace) -> _ChopinPrep:
-        return render_service().cached(
-            "chopin-prep", self._prep_fields(trace),
-            lambda: self._compute_functional_pass(trace))
-
-    def _compute_functional_pass(self, trace: Trace) -> _ChopinPrep:
-        cfg = self.config
-        n = cfg.num_gpus
-        width, height = trace.width, trace.height
-        grid = TileGrid(width, height, cfg.tile_size)
-        own_masks = [grid.gpu_pixel_mask(g, n) for g in range(n)]
-        owner_map = grid.owner_map(n)
-        session = render_service().session(trace)
-        global_pool = SurfacePool(width, height)
-        local_pools = [SurfacePool(width, height) for _ in range(n)]
-        rng = np.random.default_rng(0xC40F1)
-        tallies = [_FragTally() for _ in range(n)]
-        tile_pixels = tile_pixel_counts(grid)
-        tile_owner = tile_owner_matrix(grid, n)
-
-        plans = plan_trace_frame(trace, cfg)
-        group_preps: List[_GroupPrep] = []
-        for plan in plans:
-            if plan.mode is GroupMode.DUPLICATE:
-                group_preps.append(self._prep_duplicate(
-                    plan, session, global_pool, local_pools, own_masks,
-                    owner_map, tallies))
-            elif plan.mode is GroupMode.OPAQUE_PARALLEL:
-                group_preps.append(self._prep_opaque(
-                    plan, session, global_pool, local_pools, own_masks,
-                    grid, tallies, rng))
-            else:
-                group_preps.append(self._prep_transparent(
-                    plan, session, global_pool, local_pools, own_masks,
-                    grid, tallies, tile_pixels, tile_owner))
-
-        summary = summarize_plan(plans)
-        return _ChopinPrep(groups=group_preps,
-                           image=global_pool.render_target(0).copy(),
-                           tallies=tallies,
-                           total_groups=summary.total_groups,
-                           accelerated_groups=summary.accelerated_groups,
-                           tile_pixels=tile_pixels, tile_owner=tile_owner)
-
-    def _tally(self, tallies, gpu: int, metrics, early_z: bool) -> None:
-        tally = tallies[gpu]
-        tally.generated += metrics.fragments_generated
-        tally.shaded += metrics.fragments_shaded
-        if early_z:
-            tally.early_tested += metrics.early_z_tested
-            tally.early_passed += metrics.early_z_passed
-        tally.late_passed += metrics.late_passed
-
-    def _draw_work(self, draw, rasterized: int, shaded: int) -> DrawWork:
-        """Timing-pass work of one functionally executed draw."""
-        return DrawWork(
-            draw_id=draw.draw_id, triangles=draw.num_triangles,
-            geometry_cycles=self.costs.geometry_cycles(draw.num_triangles,
-                                                       draw.vertex_cost),
-            fragment_cycles=self.costs.fragment_cycles(rasterized, shaded,
-                                                       draw.pixel_cost),
-            fragments=shaded)
-
-    def _refresh_own_regions(self, plan, global_pool, local_pools,
-                             own_masks) -> None:
-        """Composed results land at region owners: each GPU's local surfaces
-        become authoritative (= global) inside its own tiles."""
-        rt, db = plan.group.render_target, plan.group.depth_buffer
-        global_color = global_pool.render_target(rt).color
-        global_depth = global_pool.depth_buffer(db)
-        for gpu, mask in enumerate(own_masks):
-            local_pools[gpu].render_target(rt).color[mask] = global_color[mask]
-            local_pools[gpu].depth_buffer(db)[mask] = global_depth[mask]
-
-    def _prep_duplicate(self, plan, session, global_pool, local_pools,
-                        own_masks, owner_map, tallies) -> _GroupPrep:
-        """Below-threshold group: conventional SFR, no composition."""
-        n = self.config.num_gpus
-        works: List[List[DrawWork]] = [[] for _ in range(n)]
-        for draw in plan.group.draws:
-            metrics = session.execute_draw(
-                draw, global_pool, owner_map=owner_map, num_owners=n)
-            for gpu in range(n):
-                generated = int(metrics.generated_by_owner[gpu])
-                shaded = int(metrics.shaded_by_owner[gpu])
-                passed = int(metrics.passed_by_owner[gpu])
-                tally = tallies[gpu]
-                tally.generated += generated
-                tally.shaded += shaded
-                if draw.state.early_z:
-                    tally.early_tested += generated
-                    tally.early_passed += passed
-                else:
-                    tally.late_passed += passed
-                works[gpu].append(self._draw_work(
-                    draw, metrics.triangles_rasterized, shaded))
-        self._refresh_own_regions(plan, global_pool, local_pools, own_masks)
-        return _GroupPrep(plan=plan, mode=plan.mode, works=works)
-
-    def _prep_opaque(self, plan, session, global_pool, local_pools,
-                     own_masks, grid, tallies, rng) -> _GroupPrep:
-        """Scheduled draws, full-screen local rendering, depth composition."""
-        cfg = self.config
-        n = cfg.num_gpus
-        draws = plan.group.draws
-        assignment, issue_times = self._assign_group(draws)
-        touched = [np.zeros((grid.height, grid.width), dtype=bool)
-                   for _ in range(n)]
-        works: List[List[DrawWork]] = [[] for _ in range(n)]
-        issues: List[List[float]] = [[] for _ in range(n)]
-        for draw, gpu, when in zip(draws, assignment, issue_times):
-            metrics = session.execute_draw(
-                draw, local_pools[gpu], touched=touched[gpu],
-                retained_cull_fraction=cfg.retained_cull_fraction, rng=rng)
-            self._tally(tallies, gpu, metrics, draw.state.early_z)
-            works[gpu].append(self._draw_work(
-                draw, metrics.triangles_rasterized, metrics.fragments_shaded))
-            issues[gpu].append(when)
-
-        rt, db = plan.group.render_target, plan.group.depth_buffer
-        subimages = [SubImage(color=local_pools[g].render_target(rt).color,
-                              depth=local_pools[g].depth_buffer(db),
-                              touched=touched[g]) for g in range(n)]
-        composed = composite_opaque(subimages)
-        resolve_to_background(global_pool.render_target(rt).color,
-                              global_pool.depth_buffer(db), composed,
-                              plan.group.blend_op)
-
-        region_pixels = np.zeros((n, n), dtype=np.int64)
-        for src in range(n):
-            sizes = grid.region_sizes_to_gpus(touched[src], n)
-            for dst, pixels in sizes.items():
-                if dst != src:
-                    region_pixels[src, dst] = pixels
-        self._refresh_own_regions(plan, global_pool, local_pools, own_masks)
-        return _GroupPrep(plan=plan, mode=plan.mode, works=works,
-                          issue_times=issues, region_pixels=region_pixels,
-                          touched_tiles=[grid.touched_tiles(touched[g])
-                                         for g in range(n)])
-
-    def _prep_transparent(self, plan, session, global_pool, local_pools,
-                          own_masks, grid, tallies, tile_pixels,
-                          tile_owner) -> _GroupPrep:
-        """Even contiguous split, adjacent-pair associative reduction."""
-        cfg = self.config
-        n = cfg.num_gpus
-        rt, db = plan.group.render_target, plan.group.depth_buffer
-        op = plan.group.blend_op
-        global_depth = global_pool.depth_buffer(db)
-        # Depth sync: transparent fragments must occlusion-test against the
-        # full composed depth, which lives distributed at region owners.
-        for gpu in range(n):
-            local_pools[gpu].depth_buffer(db)[:] = global_depth
-
-        works: List[List[DrawWork]] = [[] for _ in range(n)]
-        layers: List[SubImage] = []
-        layer_tiles: List[np.ndarray] = []
-        clear_depth = np.full((grid.height, grid.width), DEPTH_CLEAR,
-                              dtype=np.float32)
-        for gpu, chunk in enumerate(plan.chunks):
-            layer_fb = Framebuffer(grid.width, grid.height)
-            layer_fb.color[:] = identity_for(op)
-            temp_pool = SurfacePool(grid.width, grid.height)
-            temp_pool.install_render_target(rt, layer_fb)
-            temp_pool.install_depth_buffer(
-                db, local_pools[gpu].depth_buffer(db))
-            touched = np.zeros((grid.height, grid.width), dtype=bool)
-            for draw in chunk:
-                metrics = session.execute_draw(draw, temp_pool,
-                                               touched=touched)
-                self._tally(tallies, gpu, metrics, draw.state.early_z)
-                works[gpu].append(self._draw_work(
-                    draw, metrics.triangles_rasterized,
-                    metrics.fragments_shaded))
-            layers.append(SubImage(color=layer_fb.color,
-                                   depth=clear_depth.copy(),
-                                   touched=touched))
-            layer_tiles.append(grid.touched_tiles(touched))
-
-        # Adjacent-pair reduction tree (receiver = lower/earlier side): the
-        # same tree fail-stop repair rebuilds over survivors, here over all.
-        tree_levels, root, root_bitmap = rebuild_reduction(
-            range(n), dict(enumerate(layer_tiles)), tile_pixels)
-        for level in tree_levels:
-            for sender, receiver, _ in level:
-                layers[receiver] = blend_merge(layers[receiver],
-                                               layers[sender], op)
-        scatter_map = scatter_sizes(root_bitmap, tile_pixels, tile_owner,
-                                    dead=(), inherit={})
-        scatter_pixels = [scatter_map.get(g, 0) for g in range(n)]
-        resolve_to_background(global_pool.render_target(rt).color,
-                              global_pool.depth_buffer(db), layers[root], op,
-                              depth_write=False)
-        self._refresh_own_regions(plan, global_pool, local_pools, own_masks)
-        return _GroupPrep(plan=plan, mode=plan.mode, works=works,
-                          tree_levels=tree_levels,
-                          scatter_pixels=scatter_pixels,
-                          layer_tiles=layer_tiles)
+        return _FunctionalPass(self._prep_inputs()).assign_group(draws)
 
     # ------------------------------------------------------------ timing
 
@@ -915,3 +620,326 @@ class ChopinOracle(ChopinWithScheduler):
 
     def __init__(self, config: SystemConfig, costs=None) -> None:
         super().__init__(config, costs, draw_scheduler="oracle")
+
+
+@dataclass(frozen=True)
+class _PrepInputs:
+    """Everything CHOPIN's functional pass reads besides the trace.
+
+    The artifact store keys the prep on these fields (the cost model's
+    fields, its GPU's included), so the prep cannot read an unkeyed
+    input. Link fields stay out: one prep serves a whole link sweep.
+    """
+
+    #: bumped when the prep *content* changes shape: rev 2 added the
+    #: per-GPU touched-tile bitmaps of opaque groups (DFB streaming)
+    prep_rev: int
+    num_gpus: int
+    tile_size: int
+    composition_threshold: int
+    scheduler_update_interval: int
+    retained_cull_fraction: float
+    draw_scheduler: str
+    costs: CostModel
+
+
+def _functional_pass(trace: Trace, prep: _PrepInputs) -> _ChopinPrep:
+    return _FunctionalPass(prep).run(trace)
+
+
+class _FunctionalPass:
+    """CHOPIN's functional pass: draw assignment, sub-images, composition.
+
+    Renders the frame once the way the GPUs would split it, recording
+    each group's per-GPU work and composition traffic for the timing
+    pass. It sees only its :class:`_PrepInputs`.
+    """
+
+    def __init__(self, inputs: _PrepInputs) -> None:
+        self.inputs = inputs
+        self.costs = inputs.costs
+
+    def _make_scheduler(self, draws=()) -> DrawScheduler:
+        if self.inputs.draw_scheduler == "round-robin":
+            return RoundRobinScheduler(self.inputs.num_gpus)
+        if self.inputs.draw_scheduler == "oracle":
+            # Unrealistic upper bound (§IV-D: exact runtimes are unknown
+            # before execution): least-loaded by estimated *total* cycles.
+            return OracleLPTScheduler(
+                self.inputs.num_gpus,
+                costs=[self._estimate_draw_cycles(d) for d in draws])
+        if self.inputs.draw_scheduler == "sampled":
+            # OO-VR-style: rates sampled from the first draws, reused for
+            # the frame (the §IV-D strawman the paper rejects).
+            return SampledRateScheduler(
+                self.inputs.num_gpus, self._sampled_estimates(draws))
+        return LeastRemainingTrianglesScheduler(self.inputs.num_gpus)
+
+    def _sampled_estimates(self, draws, sample_size: int = 8):
+        """Wimmer-Wonka ``c1*#tv + c2*#pix`` with rates frozen from the
+        first ``sample_size`` draws."""
+        sample = list(draws)[:sample_size] or list(draws)
+        if not sample:
+            return []
+        c1 = float(np.mean([d.vertex_cost for d in sample])) \
+            / self.costs.gpu.num_sms
+        c2 = float(np.mean([d.pixel_cost for d in sample])) \
+            / self.costs.gpu.num_rops
+        estimates = []
+        for draw in draws:
+            pixels = self._estimate_draw_pixels(draw)
+            estimates.append(c1 * draw.num_triangles + c2 * pixels)
+        return estimates
+
+    def _estimate_draw_pixels(self, draw) -> float:
+        """Area-based pixel estimate against a nominal 10k-pixel screen."""
+        edges_a = draw.positions[:, 1, :2] - draw.positions[:, 0, :2]
+        edges_b = draw.positions[:, 2, :2] - draw.positions[:, 0, :2]
+        area_ndc = 0.5 * np.abs(edges_a[:, 0] * edges_b[:, 1]
+                                - edges_a[:, 1] * edges_b[:, 0]).sum()
+        return float(area_ndc) / 4.0 * 0.5 * 10_000
+
+    def _estimate_draw_cycles(self, draw) -> float:
+        """Geometry plus area-based fragment estimate for one draw."""
+        geometry = self.costs.geometry_cycles(draw.num_triangles,
+                                              draw.vertex_cost)
+        edges_a = draw.positions[:, 1, :2] - draw.positions[:, 0, :2]
+        edges_b = draw.positions[:, 2, :2] - draw.positions[:, 0, :2]
+        area_ndc = 0.5 * np.abs(edges_a[:, 0] * edges_b[:, 1]
+                                - edges_a[:, 1] * edges_b[:, 0]).sum()
+        # NDC covers 4 units^2; assume ~half the coverage survives early-Z
+        # and price it against a nominal 10k-pixel screen — LPT only needs
+        # *relative* costs, so the nominal size cancels out.
+        screen_fraction = float(area_ndc) / 4.0 * 0.5
+        fragments = int(screen_fraction * 10_000)
+        return geometry + self.costs.fragment_cycles(
+            draw.num_triangles, fragments, draw.pixel_cost)
+
+    def assign_group(self, draws) -> Tuple[List[int], List[float]]:
+        """Analytic driver replay: per-draw GPU assignment + issue times."""
+        n = self.inputs.num_gpus
+        scheduler = self._make_scheduler(draws)
+        issue_cost = self.costs.draw_issue_cost
+        interval = max(1, self.inputs.scheduler_update_interval)
+        free_at = [0.0] * n
+        pending: List[List[Tuple[float, int]]] = [[] for _ in range(n)]
+        pointers = [0] * n
+        assignment: List[int] = []
+        issue_times: List[float] = []
+        for k, draw in enumerate(draws):
+            now = k * issue_cost
+            for gpu in range(n):
+                chunks = pending[gpu]
+                while (pointers[gpu] < len(chunks)
+                       and chunks[pointers[gpu]][0] <= now):
+                    scheduler.report_processed(
+                        gpu, chunks[pointers[gpu]][1])
+                    pointers[gpu] += 1
+            gpu = scheduler.pick(draw.num_triangles)
+            assignment.append(gpu)
+            issue_times.append(now)
+            triangles = draw.num_triangles
+            if triangles:
+                cycles = self.costs.geometry_cycles(
+                    triangles, draw.vertex_cost)
+                start = max(free_at[gpu], now)
+                per_tri = cycles / triangles
+                done = 0
+                while done < triangles:
+                    chunk = min(interval, triangles - done)
+                    done += chunk
+                    pending[gpu].append((start + done * per_tri, chunk))
+                free_at[gpu] = start + cycles
+        return assignment, issue_times
+
+    def run(self, trace: Trace) -> _ChopinPrep:
+        inputs = self.inputs
+        n = inputs.num_gpus
+        width, height = trace.width, trace.height
+        grid = TileGrid(width, height, inputs.tile_size)
+        own_masks = [grid.gpu_pixel_mask(g, n) for g in range(n)]
+        owner_map = grid.owner_map(n)
+        session = render_service().session(trace)
+        global_pool = SurfacePool(width, height)
+        local_pools = [SurfacePool(width, height) for _ in range(n)]
+        rng = np.random.default_rng(0xC40F1)
+        tallies = [_FragTally() for _ in range(n)]
+        tile_pixels = tile_pixel_counts(grid)
+        tile_owner = tile_owner_matrix(grid, n)
+
+        plans = plan_trace_frame(trace, inputs)
+        group_preps: List[_GroupPrep] = []
+        for plan in plans:
+            if plan.mode is GroupMode.DUPLICATE:
+                group_preps.append(self._prep_duplicate(
+                    plan, session, global_pool, local_pools, own_masks,
+                    owner_map, tallies))
+            elif plan.mode is GroupMode.OPAQUE_PARALLEL:
+                group_preps.append(self._prep_opaque(
+                    plan, session, global_pool, local_pools, own_masks,
+                    grid, tallies, rng))
+            else:
+                group_preps.append(self._prep_transparent(
+                    plan, session, global_pool, local_pools, own_masks,
+                    grid, tallies, tile_pixels, tile_owner))
+
+        summary = summarize_plan(plans)
+        return _ChopinPrep(groups=group_preps,
+                           image=global_pool.render_target(0).copy(),
+                           tallies=tallies,
+                           total_groups=summary.total_groups,
+                           accelerated_groups=summary.accelerated_groups,
+                           tile_pixels=tile_pixels, tile_owner=tile_owner)
+
+    def _tally(self, tallies, gpu: int, metrics, early_z: bool) -> None:
+        tally = tallies[gpu]
+        tally.generated += metrics.fragments_generated
+        tally.shaded += metrics.fragments_shaded
+        if early_z:
+            tally.early_tested += metrics.early_z_tested
+            tally.early_passed += metrics.early_z_passed
+        tally.late_passed += metrics.late_passed
+
+    def _draw_work(self, draw, rasterized: int, shaded: int) -> DrawWork:
+        """Timing-pass work of one functionally executed draw."""
+        return DrawWork(
+            draw_id=draw.draw_id, triangles=draw.num_triangles,
+            geometry_cycles=self.costs.geometry_cycles(draw.num_triangles,
+                                                       draw.vertex_cost),
+            fragment_cycles=self.costs.fragment_cycles(rasterized, shaded,
+                                                       draw.pixel_cost),
+            fragments=shaded)
+
+    def _refresh_own_regions(self, plan, global_pool, local_pools,
+                             own_masks) -> None:
+        """Composed results land at region owners: each GPU's local surfaces
+        become authoritative (= global) inside its own tiles."""
+        rt, db = plan.group.render_target, plan.group.depth_buffer
+        global_color = global_pool.render_target(rt).color
+        global_depth = global_pool.depth_buffer(db)
+        for gpu, mask in enumerate(own_masks):
+            local_pools[gpu].render_target(rt).color[mask] = global_color[mask]
+            local_pools[gpu].depth_buffer(db)[mask] = global_depth[mask]
+
+    def _prep_duplicate(self, plan, session, global_pool, local_pools,
+                        own_masks, owner_map, tallies) -> _GroupPrep:
+        """Below-threshold group: conventional SFR, no composition."""
+        n = self.inputs.num_gpus
+        works: List[List[DrawWork]] = [[] for _ in range(n)]
+        for draw in plan.group.draws:
+            metrics = session.execute_draw(
+                draw, global_pool, owner_map=owner_map, num_owners=n)
+            for gpu in range(n):
+                generated = int(metrics.generated_by_owner[gpu])
+                shaded = int(metrics.shaded_by_owner[gpu])
+                passed = int(metrics.passed_by_owner[gpu])
+                tally = tallies[gpu]
+                tally.generated += generated
+                tally.shaded += shaded
+                if draw.state.early_z:
+                    tally.early_tested += generated
+                    tally.early_passed += passed
+                else:
+                    tally.late_passed += passed
+                works[gpu].append(self._draw_work(
+                    draw, metrics.triangles_rasterized, shaded))
+        self._refresh_own_regions(plan, global_pool, local_pools, own_masks)
+        return _GroupPrep(plan=plan, mode=plan.mode, works=works)
+
+    def _prep_opaque(self, plan, session, global_pool, local_pools,
+                     own_masks, grid, tallies, rng) -> _GroupPrep:
+        """Scheduled draws, full-screen local rendering, depth composition."""
+        n = self.inputs.num_gpus
+        draws = plan.group.draws
+        assignment, issue_times = self.assign_group(draws)
+        touched = [np.zeros((grid.height, grid.width), dtype=bool)
+                   for _ in range(n)]
+        works: List[List[DrawWork]] = [[] for _ in range(n)]
+        issues: List[List[float]] = [[] for _ in range(n)]
+        for draw, gpu, when in zip(draws, assignment, issue_times):
+            metrics = session.execute_draw(
+                draw, local_pools[gpu], touched=touched[gpu],
+                retained_cull_fraction=self.inputs.retained_cull_fraction, rng=rng)
+            self._tally(tallies, gpu, metrics, draw.state.early_z)
+            works[gpu].append(self._draw_work(
+                draw, metrics.triangles_rasterized, metrics.fragments_shaded))
+            issues[gpu].append(when)
+
+        rt, db = plan.group.render_target, plan.group.depth_buffer
+        subimages = [SubImage(color=local_pools[g].render_target(rt).color,
+                              depth=local_pools[g].depth_buffer(db),
+                              touched=touched[g]) for g in range(n)]
+        composed = composite_opaque(subimages)
+        resolve_to_background(global_pool.render_target(rt).color,
+                              global_pool.depth_buffer(db), composed,
+                              plan.group.blend_op)
+
+        region_pixels = np.zeros((n, n), dtype=np.int64)
+        for src in range(n):
+            sizes = grid.region_sizes_to_gpus(touched[src], n)
+            for dst, pixels in sizes.items():
+                if dst != src:
+                    region_pixels[src, dst] = pixels
+        self._refresh_own_regions(plan, global_pool, local_pools, own_masks)
+        return _GroupPrep(plan=plan, mode=plan.mode, works=works,
+                          issue_times=issues, region_pixels=region_pixels,
+                          touched_tiles=[grid.touched_tiles(touched[g])
+                                         for g in range(n)])
+
+    def _prep_transparent(self, plan, session, global_pool, local_pools,
+                          own_masks, grid, tallies, tile_pixels,
+                          tile_owner) -> _GroupPrep:
+        """Even contiguous split, adjacent-pair associative reduction."""
+        n = self.inputs.num_gpus
+        rt, db = plan.group.render_target, plan.group.depth_buffer
+        op = plan.group.blend_op
+        global_depth = global_pool.depth_buffer(db)
+        # Depth sync: transparent fragments must occlusion-test against the
+        # full composed depth, which lives distributed at region owners.
+        for gpu in range(n):
+            local_pools[gpu].depth_buffer(db)[:] = global_depth
+
+        works: List[List[DrawWork]] = [[] for _ in range(n)]
+        layers: List[SubImage] = []
+        layer_tiles: List[np.ndarray] = []
+        clear_depth = np.full((grid.height, grid.width), DEPTH_CLEAR,
+                              dtype=np.float32)
+        for gpu, chunk in enumerate(plan.chunks):
+            layer_fb = Framebuffer(grid.width, grid.height)
+            layer_fb.color[:] = identity_for(op)
+            temp_pool = SurfacePool(grid.width, grid.height)
+            temp_pool.install_render_target(rt, layer_fb)
+            temp_pool.install_depth_buffer(
+                db, local_pools[gpu].depth_buffer(db))
+            touched = np.zeros((grid.height, grid.width), dtype=bool)
+            for draw in chunk:
+                metrics = session.execute_draw(draw, temp_pool,
+                                               touched=touched)
+                self._tally(tallies, gpu, metrics, draw.state.early_z)
+                works[gpu].append(self._draw_work(
+                    draw, metrics.triangles_rasterized,
+                    metrics.fragments_shaded))
+            layers.append(SubImage(color=layer_fb.color,
+                                   depth=clear_depth.copy(),
+                                   touched=touched))
+            layer_tiles.append(grid.touched_tiles(touched))
+
+        # Adjacent-pair reduction tree (receiver = lower/earlier side): the
+        # same tree fail-stop repair rebuilds over survivors, here over all.
+        tree_levels, root, root_bitmap = rebuild_reduction(
+            range(n), dict(enumerate(layer_tiles)), tile_pixels)
+        for level in tree_levels:
+            for sender, receiver, _ in level:
+                layers[receiver] = blend_merge(layers[receiver],
+                                               layers[sender], op)
+        scatter_map = scatter_sizes(root_bitmap, tile_pixels, tile_owner,
+                                    dead=(), inherit={})
+        scatter_pixels = [scatter_map.get(g, 0) for g in range(n)]
+        resolve_to_background(global_pool.render_target(rt).color,
+                              global_pool.depth_buffer(db), layers[root], op,
+                              depth_write=False)
+        self._refresh_own_regions(plan, global_pool, local_pools, own_masks)
+        return _GroupPrep(plan=plan, mode=plan.mode, works=works,
+                          tree_levels=tree_levels,
+                          scatter_pixels=scatter_pixels,
+                          layer_tiles=layer_tiles)

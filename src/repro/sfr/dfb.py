@@ -10,13 +10,12 @@ tiles' owners the moment rendering finishes.
 - No receiver gating and no pairing handshake: a tile message departs as
   soon as the sender's sub-image is done and contends only for link ports.
   The owner folds tiles in *arrival order* — sound for opaque groups
-  because the per-pixel ``(depth, source)`` argmin reduction of
-  :mod:`repro.composition.dfb` is order-independent and bit-identical to
-  the sequential compositor.
+  because the per-pixel ``(depth, source)`` argmin reduction is
+  order-independent and bit-identical to the sequential compositor.
 - Transparent groups keep the adjacent-pair reduction tree (blending is
   not commutative) but every tree edge streams its payload one tile at a
-  time; out-of-order tile folds are a protocol violation the functional
-  core rejects with a typed :class:`~repro.errors.SchedulingError`.
+  time, and a tile may only fold a layer adjacent to the span already
+  folded.
 - The cost model bills one interconnect head latency per tile message
   (messages serialize on the sender's egress port), which is the price DFB
   pays for composing without any scheduling hardware.
@@ -26,8 +25,10 @@ tiles' owners the moment rendering finishes.
   precise (overlapping tiles stream once, not twice).
 
 The timing pass is CHOPIN's own; this scheme only selects the
-:class:`~repro.sfr.transport.TileStreaming` transport. The functional
-tile reducers live in :mod:`repro.composition.dfb`.
+:class:`~repro.sfr.transport.TileStreaming` transport, which plans its
+tile messages with :mod:`repro.composition.dfb`. The functional image is
+the whole-sub-image compositor's; the tile-by-tile reducers that show
+both order claims are test oracles.
 """
 
 from __future__ import annotations

@@ -92,16 +92,14 @@ def projection_analysis(trace: Trace,
                         config: SystemConfig) -> List[DrawProjection]:
     """Projection analysis for every draw. Stored in the render service's
     artifact store, keyed by (trace fingerprint, num_gpus, tile_size)."""
-    return render_service().cached(
-        "projection",
-        {"trace": trace.fingerprint, "num_gpus": config.num_gpus,
-         "tile_size": config.tile_size},
-        lambda: _compute_projections(trace, config.num_gpus,
-                                     config.tile_size))
+    return render_service().memo("projection", _projections, trace=trace,
+                                 num_gpus=config.num_gpus,
+                                 tile_size=config.tile_size)
 
 
-def _compute_projections(trace: Trace, n: int,
-                         tile_size: int) -> List[DrawProjection]:
+def _projections(trace: Trace, num_gpus: int,
+                 tile_size: int) -> List[DrawProjection]:
+    n = num_gpus
     grid = TileGrid(trace.width, trace.height, tile_size)
     result: List[DrawProjection] = []
     for draw in trace.frame.draws:

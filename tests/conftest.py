@@ -4,13 +4,21 @@ Session-scoped fixtures exploit the library's internal caches so the
 expensive functional renders run once per session.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from repro.analysis.flow import Project
+from repro.analysis.simlint import LintModule
 from repro.config import SystemConfig
 from repro.harness import make_setup
+from repro.render import RenderService
+from repro.render import service as service_module
 from repro.sim import Simulator
 from repro.traces import TraceSpec, load_benchmark, synthesize
+
+SRC_REPRO = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 @pytest.fixture()
@@ -48,6 +56,41 @@ def micro_setup():
     return Setup(scale="tiny", config=config, costs=CostModel(gpu=config.gpu))
 
 
+@pytest.fixture
+def fresh_service(monkeypatch):
+    """Swap in an isolated RenderService so tests cannot cross-pollute
+    the process-wide store (or leave a dangling tmp disk tier on it)."""
+    svc = RenderService()
+    monkeypatch.setattr(service_module, "_SERVICE", svc)
+    yield svc
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def src_project():
+    """``src/repro`` parsed and indexed once per session (do not mutate)."""
+    return Project.from_paths([SRC_REPRO])
+
+
+@pytest.fixture(scope="session")
+def mutated_src(src_project):
+    """``mutated_src(relative, old, new)``: the session's ``src/repro``
+    project with one module's source edited (``old`` replaced by ``new``;
+    ``old=None`` appends ``new``). Only that module is re-parsed."""
+    def build(relative, old, new):
+        path = str((SRC_REPRO / relative).resolve())
+        named = []
+        for name, module in src_project.modules.items():
+            if module.path == path:
+                source = module.source + new if old is None \
+                    else module.source.replace(old, new)
+                assert source != module.source, \
+                    f"mutation anchor vanished from {relative}"
+                module = LintModule(module.path, source)
+            named.append((name, src_project.module_packages[name], module))
+        return Project.from_modules(named)
+    return build

@@ -227,7 +227,7 @@ def fragment_phase(artifact: DrawArtifact, draw: DrawCommand,
     return metrics
 
 
-def _write(target, depth_buf, frags, shaded_colors,  # effect: mutates-args
+def _write(target, depth_buf, frags, shaded_colors,
            state, metrics, touched) -> None:
     """Blend surviving fragments into the render target."""
     ys, xs = frags.ys, frags.xs

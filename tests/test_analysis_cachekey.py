@@ -1,234 +1,177 @@
-"""Cache-key soundness tests: fixtures per rule + seeded mutations.
+"""Cache-key soundness, by construction: ``RenderService.memo``.
 
-The fixture tests pin down site parsing (3-arg / 2-arg ``cached``
-forms, key-builder chasing, alias resolution), the token normalization
-that maps ``trace.fingerprint`` onto a ``"trace"`` field, and the
-completeness gate on ``cache-key-unused``. The meta-tests copy
-``src/repro`` and seed the two bug classes the pass exists to catch —
-a new input read by a cached computation without a covering key field,
-and a key field nothing reads — and require the deep lint to find them
-(the unmutated tree stays clean, see test_flow.py).
+``memo(kind, fn, **inputs)`` returns ``fn(**inputs)`` and derives the
+store key from exactly those inputs, so the two bug classes a static
+pass used to hunt for cannot be written any more:
+
+- a compute that reads an input its key leaves out needs a closure or a
+  bound ``self`` to reach it, and memo refuses both;
+- a key field the compute does not take is an unexpected keyword
+  argument, and the call fails.
+
+The meta-tests seed both mutations into the live render path and
+require them to fail.
 """
 
-import pathlib
-import shutil
-import textwrap
+import functools
 
-from repro.analysis import lint_paths
-from repro.analysis.cachekey import (RULE_MISSING, RULE_UNUSED,
-                                     CacheKeyChecker, normalize_token)
-from repro.analysis.flow import Project
-from repro.analysis.simlint import LintModule
+import pytest
 
-REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+from repro.harness import make_setup, run
+from repro.render import store_key
+from repro.render.service import memo_fields
+from repro.traces import load_benchmark
 
 
-def project_of(*named_sources):
-    return Project.from_modules(
-        (name, False, LintModule(f"{name}.py", textwrap.dedent(src)))
-        for name, src in named_sources)
+class _Fingerprinted:
+    def __init__(self, fingerprint):
+        self.fingerprint = fingerprint
+        self.frame = [1, 2, 3]
 
 
-def cachekey_findings(source):
-    return CacheKeyChecker(project_of(("fixture", source))).run()
-
-
-def rules_of(findings):
-    return {finding.rule for finding in findings}
-
-
-# ---------------------------------------------------------- normalization
-
-
-class TestNormalizeToken:
-    def test_identity_suffixes_stripped(self):
-        assert normalize_token("trace_fingerprint") == "trace"
-        assert normalize_token("_camera_fp") == "camera"
-        assert normalize_token("scene_hash") == "scene"
-        assert normalize_token("frame_id") == "frame"
-
-    def test_bare_and_short_tokens_untouched(self):
-        assert normalize_token("trace") == "trace"
-        # a token that IS a suffix stays itself rather than vanishing
-        assert normalize_token("_fp") == "fp"
+def _scaled(trace, salt):
+    return [value * salt for value in trace.frame]
 
 
 # ------------------------------------------------------- cache-key-missing
 
 
 class TestCacheKeyMissing:
-    def test_unkeyed_read_flagged(self):
-        findings = cachekey_findings("""
-            def load(store, trace, salt):
-                return store.cached("frame", {"trace": trace.fingerprint},
-                                    lambda: trace.frame * salt)
-        """)
-        assert rules_of(findings) == {RULE_MISSING}
-        assert "`salt`" in findings[0].message
-        assert "'frame'" in findings[0].message
+    def test_unkeyed_read_flagged(self, fresh_service):
+        trace, salt = _Fingerprinted("t"), 3
+        with pytest.raises(TypeError, match="closure"):
+            fresh_service.memo("frame", lambda trace: _scaled(trace, salt),
+                               trace=trace)
 
-    def test_covered_reads_are_clean(self):
-        findings = cachekey_findings("""
-            def load(store, trace, salt):
-                return store.cached(
-                    "frame",
-                    {"trace": trace.fingerprint, "salt": salt},
-                    lambda: trace.frame * salt)
-        """)
-        assert findings == []
+    def test_covered_reads_are_clean(self, fresh_service):
+        trace = _Fingerprinted("t")
+        assert fresh_service.memo("frame", _scaled, trace=trace,
+                                  salt=3) == [3, 6, 9]
+        assert fresh_service.memo("frame", _scaled, trace=trace,
+                                  salt=4) == [4, 8, 12]
+        assert fresh_service.memo("frame", _scaled, trace=trace,
+                                  salt=3) == [3, 6, 9]
+        counters = fresh_service.counters()
+        assert (counters.misses, counters.hits) == (2, 1)
 
     def test_fingerprint_field_covers_object_read(self):
-        # key stores trace.fingerprint, compute reads trace.frame:
-        # both normalize to the root object "trace"
-        findings = cachekey_findings("""
-            class Session:
-                def load(self, store):
-                    return store.cached(
-                        "geo", {"camera": self._camera_fp},
-                        lambda: self.camera.project())
-        """)
-        assert findings == []
+        # an object input keys as its fingerprint, whatever else it holds
+        fields = memo_fields({"trace": _Fingerprinted("abc"), "salt": 3})
+        assert fields == {"trace": "abc", "salt": 3}
 
-    def test_key_builder_function_chased(self):
-        findings = cachekey_findings("""
-            def _fields(trace, scale):
-                return {"trace": trace.fingerprint, "scale": scale}
+    def test_nested_def_compute(self, fresh_service):
+        trace, salt = _Fingerprinted("t"), 3
 
-            def load(store, trace, scale, salt):
-                return store.cached("frame", _fields(trace, scale),
-                                    lambda: trace.frame * scale + salt)
-        """)
-        assert rules_of(findings) == {RULE_MISSING}
-        assert "`salt`" in findings[0].message
+        def capturing(trace):
+            return _scaled(trace, salt)
 
-    def test_two_arg_form_with_key_alias(self):
-        findings = cachekey_findings("""
-            def store_key(kind, fields):
-                return (kind, tuple(sorted(fields)))
+        def self_contained(trace, salt):
+            return _scaled(trace, salt)
 
-            def load(store, trace, salt):
-                key = store_key("frame", {"trace": trace.fingerprint})
-                return store.cached(key, lambda: trace.frame * salt)
-        """)
-        assert RULE_MISSING in rules_of(findings)
-        assert any("`salt`" in f.message for f in findings)
+        with pytest.raises(TypeError, match="closure"):
+            fresh_service.memo("frame", capturing, trace=trace)
+        assert fresh_service.memo("frame", self_contained, trace=trace,
+                                  salt=salt) == [3, 6, 9]
 
-    def test_nested_def_compute(self):
-        findings = cachekey_findings("""
-            def load(store, trace, salt):
-                def compute():
-                    return trace.frame * salt
-                return store.cached("frame", {"trace": trace.fingerprint},
-                                    compute)
-        """)
-        assert RULE_MISSING in rules_of(findings)
-        assert any("`salt`" in f.message for f in findings)
+    def test_forwarded_fields_parameter_skipped(self, fresh_service):
+        # a functools.wraps wrapper that forwards verbatim is judged by
+        # the function it wraps
+        @functools.wraps(_scaled)
+        def forwarding(*args, **kwargs):
+            return _scaled(*args, **kwargs)
 
-    def test_forwarded_fields_parameter_skipped(self):
-        # plumbing that forwards kind/fields/compute verbatim is not a
-        # keyed site itself (RenderService.cached shape)
-        findings = cachekey_findings("""
-            class Service:
-                def cached(self, kind, fields, compute):
-                    return self.store.cached(kind, fields, compute)
-        """)
-        assert findings == []
+        assert fresh_service.memo("frame", forwarding,
+                                  trace=_Fingerprinted("t"),
+                                  salt=2) == [2, 4, 6]
+
+    def test_bound_method_refused(self, fresh_service):
+        holder = _Fingerprinted("t")
+        with pytest.raises(TypeError, match="bound self"):
+            fresh_service.memo("frame", holder.__init__, fingerprint="x")
+
+    def test_unaddressable_input_refused(self, fresh_service):
+        with pytest.raises(TypeError, match="not a JSON scalar"):
+            fresh_service.memo("frame", _scaled, trace=_Fingerprinted("t"),
+                               salt=[3])
 
 
 # -------------------------------------------------------- cache-key-unused
 
 
 class TestCacheKeyUnused:
-    def test_unread_field_flagged(self):
-        findings = cachekey_findings("""
-            def load(store, trace):
-                return store.cached(
-                    "frame",
-                    {"trace": trace.fingerprint, "salt": 3},
-                    lambda: trace.frame)
-        """)
-        assert rules_of(findings) == {RULE_UNUSED}
-        assert "salt" in findings[0].message
+    def test_unread_field_flagged(self, fresh_service):
+        def load(trace):
+            return trace.frame
 
-    def test_unused_gated_on_complete_analysis(self):
-        # the compute calls an unresolvable function, so the input set
-        # is a lower bound — no field can be proven unread
-        findings = cachekey_findings("""
-            def load(store, trace):
-                return store.cached(
-                    "frame",
-                    {"trace": trace.fingerprint, "salt": 3},
-                    lambda: mystery(trace))
-        """)
-        assert findings == []
-
-    def test_severity_is_warning(self):
-        findings = lint_of_unused()
-        assert findings and findings[0].severity == "warning"
+        with pytest.raises(TypeError, match="salt"):
+            fresh_service.memo("frame", load, trace=_Fingerprinted("t"),
+                               salt=3)
 
 
-def lint_of_unused(tmp_dir=None):
-    """Run the full deep-lint path so pass severities apply."""
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        target = pathlib.Path(tmp) / "consumer.py"
-        target.write_text(textwrap.dedent("""
-            def load(store, trace):
-                return store.cached(
-                    "frame",
-                    {"trace": trace.fingerprint, "salt": 3},
-                    lambda: trace.frame)
-        """))
-        return [f for f in lint_paths([target], deep=True)
-                if f.rule == RULE_UNUSED]
+class TestInputsRecord:
+    def test_frozen_record_contributes_its_fields(self):
+        from repro.config import GPUConfig
+        fields = memo_fields({"trace": _Fingerprinted("t"),
+                              "gpu": GPUConfig()})
+        assert fields["trace"] == "t"
+        assert fields["num_sms"] == GPUConfig().num_sms
+        assert "gpu" not in fields
+
+    def test_record_key_matches_spelled_out_fields(self):
+        from repro.config import GPUConfig
+        gpu = GPUConfig(num_sms=16)
+        spelled = {name: getattr(gpu, name)
+                   for name in gpu.__dataclass_fields__}
+        assert store_key("k", memo_fields({"gpu": gpu})) \
+            == store_key("k", spelled)
+
+    def test_mutable_dataclass_refused(self):
+        from repro.faults.plan import DegradedWindow  # frozen
+        from repro.stats import GPUStats            # mutable
+        memo_fields({"window": DegradedWindow(0.0, 1.0, 0.5)})
+        with pytest.raises(TypeError):
+            memo_fields({"stats": GPUStats()})
+
+    def test_duplicate_field_refused(self):
+        from repro.config import GPUConfig
+        with pytest.raises(TypeError, match="twice"):
+            memo_fields({"num_sms": 8, "gpu": GPUConfig()})
 
 
 # ------------------------------------------------------ seeded mutations
 
 
-def _copy_src_repro(tmp_path):
-    tree = tmp_path / "repro"
-    shutil.copytree(REPO_SRC, tree)
-    return tree
-
-
-def _mutate(tree, relative, old, new):
-    target = tree / relative
-    source = target.read_text()
-    mutated = source.replace(old, new)
-    assert mutated != source, f"mutation anchor vanished from {relative}"
-    target.write_text(mutated)
-
-
 class TestCacheKeyMeta:
-    def test_unkeyed_input_in_render_session_is_found(self, tmp_path):
-        tree = _copy_src_repro(tmp_path)
-        # the geometry artifact starts depending on a jitter the key
-        # does not cover — exactly the stale-cache bug class
-        _mutate(tree, "render/service.py",
-                "lambda: geometry_phase(draw, self.camera,",
-                "lambda: geometry_phase(draw, self.camera * self.jitter,")
-        findings = [f for f in lint_paths([tree], deep=True)
-                    if f.rule == RULE_MISSING]
-        assert findings, "seeded un-keyed read not detected"
-        assert all(f.path.endswith("service.py") for f in findings)
-        assert any("`jitter`" in f.message for f in findings)
-        assert findings[0].severity == "error"
+    def test_unkeyed_input_in_render_session_is_found(self, fresh_service,
+                                                      monkeypatch):
+        # the geometry artifact starts depending on a jitter the key does
+        # not cover: the only way to reach it is a closure, which memo
+        # refuses, so the mutated render path fails on its first draw
+        from repro.render.phases import geometry_phase
+        from repro.render.service import RenderSession
 
-    def test_dead_key_field_is_found(self, tmp_path):
-        tree = _copy_src_repro(tmp_path)
-        probe = textwrap.dedent("""
+        def jittered_artifact(self, draw):
+            jitter = self.jitter
+            return self.service.memo(
+                "geometry",
+                lambda draw, camera, width, height: geometry_phase(
+                    draw, camera, width + jitter, height),
+                draw=draw, camera=self.camera, width=self.width,
+                height=self.height)
 
-            def _lint_probe(store, trace):
-                return store.cached(
-                    store_key("probe", {"trace": trace.fingerprint,
-                                        "salt": 3}),
-                    lambda: trace.frame)
-        """)
-        target = tree / "render" / "store.py"
-        target.write_text(target.read_text() + probe)
-        findings = [f for f in lint_paths([tree], deep=True)
-                    if f.rule == RULE_UNUSED]
-        assert findings, "seeded dead key field not detected"
-        assert findings[0].path.endswith("store.py")
-        assert "salt" in findings[0].message
+        monkeypatch.setattr(RenderSession, "jitter", 0, raising=False)
+        monkeypatch.setattr(RenderSession, "artifact", jittered_artifact)
+        trace = load_benchmark("wolf", "tiny")
+        with pytest.raises(TypeError, match="closure"):
+            run("duplication", trace, make_setup("tiny", num_gpus=2),
+                use_cache=False)
+
+    def test_dead_key_field_is_found(self, fresh_service):
+        # a key field the compute does not take: the call cannot be made
+        trace = load_benchmark("wolf", "tiny")
+
+        def probe(trace):
+            return trace.frame
+
+        with pytest.raises(TypeError, match="salt"):
+            fresh_service.memo("probe", probe, trace=trace, salt=3)

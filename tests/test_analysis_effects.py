@@ -1,28 +1,39 @@
-"""Effect/purity inference tests: fixtures per rule + seeded mutations.
+"""The phase split: geometry artifacts are assignment-independent, and
+the per-fragment path does not allocate.
 
-The fixture tests pin down the summary lattice (vocabulary
-classification, parameter/receiver mutation, interprocedural folding,
-``# effect:`` declarations) and the two derived checks built on it —
-``phase-impure`` and ``hot-alloc``. The meta-tests at the bottom copy
-``src/repro`` and seed it with exactly the bug classes the pass exists
-to catch: a fault-state read inside the geometry phase, a stale
-``# effect: pure`` annotation, and a re-introduced per-call allocation
-on the rasterizer hot path. The unmutated tree stays clean
-(test_flow.py pins that invariant).
+CHOPIN composes sub-images correctly only because a draw's geometry
+output does not depend on which GPU renders it. ``geometry_phase(draw,
+camera, width, height)`` is stored through ``RenderService.memo``, so
+its key is exactly its arguments; the runtime checks here show the
+artifacts are bit-identical, and looked up as hits after the first
+pass, across GPU counts and a fail-stop plan. Seeded mutations — a
+geometry phase (or a helper it calls) reading ambient fault or
+assignment state — must fail that check.
+
+``hot-alloc`` is the one effect lint left: an allocation on the
+per-fragment path is a cost no runtime check sees. Its fixtures pin the
+hot-set and allocation rules, and its meta-test seeds a per-call
+allocation into the session's parsed ``src/repro``.
 """
 
-import pathlib
-import shutil
+import dataclasses
 import textwrap
 
-from repro.analysis import lint_paths
-from repro.analysis.effects import (RULE_HOT_ALLOC, RULE_PHASE,
-                                    RULE_UNDECLARED, EffectChecker,
-                                    HotAllocChecker, display_tags)
-from repro.analysis.flow import Project
-from repro.analysis.simlint import LintModule
+import numpy as np
+import pytest
 
-REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+from repro.analysis.flow import Project
+from repro.analysis.hotalloc import (RULE_HOT_ALLOC, HotAllocChecker,
+                                     HotAllocPass)
+from repro.analysis.simlint import LintModule, check_project
+from repro.faults import parse_fault_plan
+from repro.harness import make_setup, run
+from repro.render import RenderService
+from repro.render import phases
+from repro.render import service as service_module
+from repro.render.phases import geometry_phase
+from repro.sfr import Chopin
+from repro.traces import load_benchmark
 
 
 def project_of(*mods):
@@ -38,226 +49,139 @@ def project_of(*mods):
     return Project.from_modules(entries)
 
 
-def summary_of(source, qualname="fixture.fn"):
-    project = project_of(("fixture", source))
-    return EffectChecker(project).summary(project.functions[qualname])
+# ------------------------------------------------------------ phase purity
+
+#: (num_gpus, fault plan) of every configuration the check renders
+CONFIGS = ((1, None), (3, None), (8, None), (8, "fail=2@50000"))
+
+#: ambient run state a seeded mutation may (wrongly) read
+_AMBIENT = {}
 
 
-def effect_findings(source):
-    return EffectChecker(project_of(("fixture", source))).run()
+def _setup(num_gpus, faults):
+    plan = parse_fault_plan(faults) if faults else None
+    return make_setup("tiny", num_gpus=num_gpus, faults=plan)
 
 
-def rules_of(findings):
-    return {finding.rule for finding in findings}
+def _geometry_lookups(monkeypatch, service, render):
+    """Call ``render()`` with ``service`` ambient; every geometry lookup
+    it makes, as (key, artifact, hit)."""
+    lookups = []
+    get = service.store.get
+
+    def spy(key):
+        value, found = get(key)
+        if key.startswith("geometry-"):
+            lookups.append((key, value, found))
+        return value, found
+
+    monkeypatch.setattr(service.store, "get", spy)
+    monkeypatch.setattr(service_module, "_SERVICE", service)
+    render()
+    computed = {key: service.store.get(key)[0] for key, _, hit in lookups
+                if not hit}
+    return [(key, value if hit else computed[key], hit)
+            for key, value, hit in lookups]
 
 
-# --------------------------------------------------------- summary lattice
+def _frame(monkeypatch, service, trace, num_gpus, faults):
+    setup = _setup(num_gpus, faults)
+    return _geometry_lookups(
+        monkeypatch, service,
+        lambda: run("chopin", trace, setup, use_cache=False))
 
 
-class TestEffectSummaries:
-    def test_pure_function(self):
-        summary = summary_of("""
-            def fn(a, b):
-                return a + b
-        """)
-        assert display_tags(summary) == frozenset()
-        assert summary.complete
-
-    def test_config_read_classified_by_vocabulary(self):
-        summary = summary_of("""
-            def fn(config, x):
-                return x * config.scale
-        """)
-        assert display_tags(summary) == {"reads-config"}
-        assert "config" in summary.param_reads
-
-    def test_assignment_and_fault_vocabulary(self):
-        summary = summary_of("""
-            def fn(state, i):
-                if state.failed_gpus:
-                    return 0
-                return state.owner_map[i]
-        """)
-        assert display_tags(summary) == {"reads-assignment",
-                                         "reads-fault-state"}
-
-    def test_live_sim_state_read(self):
-        summary = summary_of("""
-            def fn(sim):
-                return sim.time
-        """)
-        assert "reads-live-sim-state" in display_tags(summary)
-
-    def test_parameter_mutation(self):
-        summary = summary_of("""
-            def fn(metrics, n):
-                metrics.count += n
-        """)
-        assert summary.mutates_params == {"metrics"}
-        assert display_tags(summary) == {"mutates-args"}
-
-    def test_receiver_mutation_is_shared(self):
-        summary = summary_of("""
-            class Tracker:
-                def fn(self, x):
-                    self.seen = x
-        """, qualname="fixture.Tracker.fn")
-        assert "self" in summary.mutates_params
-        assert display_tags(summary) == {"mutates-shared"}
-
-    def test_init_self_stores_exempt(self):
-        summary = summary_of("""
-            class Tracker:
-                def __init__(self, x):
-                    self.seen = x
-        """, qualname="fixture.Tracker.__init__")
-        assert summary.mutates_params == frozenset()
-
-    def test_mutator_method_on_parameter(self):
-        summary = summary_of("""
-            def fn(out, item):
-                out.append(item)
-        """)
-        assert summary.mutates_params == {"out"}
-
-    def test_io_builtin(self):
-        summary = summary_of("""
-            def fn(x):
-                print(x)
-        """)
-        assert "io" in display_tags(summary)
-
-    def test_effects_fold_through_calls(self):
-        summary = summary_of("""
-            def helper(cfg):
-                return cfg.scale
-
-            def fn(config):
-                return helper(config)
-        """)
-        assert "reads-config" in display_tags(summary)
-        assert "config" in summary.param_reads
-
-    def test_trusted_external_stays_complete(self):
-        summary = summary_of("""
-            import math
-
-            def fn(x):
-                return math.sqrt(x)
-        """)
-        assert summary.complete
-        assert display_tags(summary) == frozenset()
-
-    def test_unresolved_call_marks_incomplete(self):
-        summary = summary_of("""
-            def fn(x):
-                return mystery(x)
-        """)
-        assert not summary.complete
+def _same_artifact(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
 
 
-# ------------------------------------------------------ effect-undeclared
+def check_phase_independence(monkeypatch, trace):
+    """Geometry artifacts do not depend on the GPU assignment.
+
+    Each configuration renders on a fresh store, and every artifact must
+    be bit-identical to the first one computed under its key. Then one
+    shared store, warmed once with the trace's draws, must see only
+    hits for them in every configuration. (A transparent group's draws
+    split at chunk boundaries are different inputs — their triangles
+    depend on the GPU count — so they key separately.)
+    """
+    first = {}
+    for num_gpus, faults in CONFIGS:
+        for key, artifact, _ in _frame(monkeypatch, RenderService(), trace,
+                                       num_gpus, faults):
+            assert _same_artifact(artifact, first.setdefault(key, artifact)), \
+                f"geometry artifact differs with {num_gpus} GPUs, {faults}"
+    shared = RenderService()
+    warmed = {key for key, _, _ in _geometry_lookups(
+        monkeypatch, shared,
+        lambda: shared.prewarm(trace, _setup(1, None).config))}
+    assert len(warmed) == len(trace.frame.draws)
+    for num_gpus, faults in CONFIGS:
+        lookups = _frame(monkeypatch, shared, trace, num_gpus, faults)
+        assert all(hit for key, _, hit in lookups if key in warmed)
 
 
-class TestEffectDeclarations:
-    def test_accurate_declaration_is_clean(self):
-        findings = effect_findings("""
-            def fn(cfg):  # effect: reads-config
-                return cfg.scale
-        """)
-        assert findings == []
-
-    def test_stale_pure_declaration_flagged(self):
-        findings = effect_findings("""
-            def fn(cfg):  # effect: pure
-                return cfg.scale
-        """)
-        assert rules_of(findings) == {RULE_UNDECLARED}
-        assert "reads-config" in findings[0].message
-
-    def test_unknown_tag_flagged(self):
-        findings = effect_findings("""
-            def fn(x):  # effect: reads-stuff
-                return x
-        """)
-        assert rules_of(findings) == {RULE_UNDECLARED}
-        assert "unknown effect tag" in findings[0].message
-
-    def test_declaration_trusted_by_callers(self):
-        # the caller sees the declared (empty) effect set, while the
-        # declaring function itself is flagged against its inferred one
-        source = """
-            def helper(state):  # effect: pure
-                return state.owner_map
-
-            def fn(state):
-                return helper(state)
-        """
-        project = project_of(("fixture", textwrap.dedent(source)))
-        checker = EffectChecker(project)
-        findings = checker.run()
-        outer = checker.summary(project.functions["fixture.fn"])
-        assert "reads-assignment" not in display_tags(outer)
-        assert rules_of(findings) == {RULE_UNDECLARED}
-        assert findings[0].line == 2  # helper's def line
+@pytest.fixture(scope="module")
+def wolf():
+    return load_benchmark("wolf", "tiny")
 
 
-# ----------------------------------------------------------- phase-impure
+@pytest.fixture
+def ambient_run(monkeypatch):
+    """Publish each CHOPIN run's GPU count and fault plan where a seeded
+    mutation can read them."""
+    original = Chopin.run
+
+    def publishing_run(self, trace):
+        _AMBIENT.update(num_gpus=self.config.num_gpus,
+                        faults=self.config.faults)
+        return original(self, trace)
+
+    monkeypatch.setattr(Chopin, "run", publishing_run)
+    yield
+    _AMBIENT.clear()
+
+
+def _fault_aware_geometry(draw, camera, width, height):
+    """A geometry phase that reads fault state (the seeded bug)."""
+    artifact = geometry_phase(draw, camera, width, height)
+    if _AMBIENT.get("faults") is not None:
+        artifact.depth = artifact.depth + np.float32(1e-3)
+    return artifact
+
+
+_TO_SCREEN = phases.to_screen
+
+
+def _assignment_aware_to_screen(ndc, width, height):
+    """A geometry helper that reads the GPU count (the seeded bug)."""
+    xy, depth = _TO_SCREEN(ndc, width, height)
+    return xy + np.float32(_AMBIENT.get("num_gpus", 1) % 2), depth
 
 
 class TestPhasePurity:
-    def test_fault_read_in_geometry_phase(self):
-        findings = effect_findings("""
-            def geometry_phase(draw):
-                if draw.fault_plan:
-                    return None
-                return draw.vertices
-        """)
-        phase = [f for f in findings if f.rule == RULE_PHASE]
-        assert len(phase) == 1
-        assert "fault state" in phase[0].message
-        assert phase[0].line == 3  # the offending read, not the def
+    def test_fault_read_in_geometry_phase(self, monkeypatch, wolf):
+        # fault state cannot reach the key: a fail-stop run looks up the
+        # very addresses a fault-free run does
+        keys = []
+        for faults in (None, "fail=2@50000"):
+            lookups = _frame(monkeypatch, RenderService(), wolf, 8, faults)
+            keys.append(sorted(key for key, _, _ in lookups))
+        assert keys[0] == keys[1] and keys[0]
 
-    def test_reaches_through_helpers(self):
-        findings = effect_findings("""
-            def helper(state):
-                return state.owner_map
+    def test_reaches_through_helpers(self, monkeypatch, wolf, ambient_run):
+        monkeypatch.setattr(phases, "to_screen", _assignment_aware_to_screen)
+        with pytest.raises(AssertionError, match="geometry artifact"):
+            check_phase_independence(monkeypatch, wolf)
 
-            def geometry_phase(state):
-                return helper(state)
-        """)
-        phase = [f for f in findings if f.rule == RULE_PHASE]
-        assert len(phase) == 1
-        assert "helper()" in phase[0].message
-        assert "GPU-assignment" in phase[0].message
-
-    def test_same_read_outside_phase_is_allowed(self):
-        findings = effect_findings("""
-            def composition_step(state):
-                return state.owner_map
-        """)
-        assert [f for f in findings if f.rule == RULE_PHASE] == []
-
-    def test_stale_pure_annotation_does_not_hide_it(self):
-        findings = effect_findings("""
-            def geometry_phase(draw):  # effect: pure
-                return draw.fault_plan
-        """)
-        assert RULE_PHASE in rules_of(findings)
-        assert RULE_UNDECLARED in rules_of(findings)
-
-    def test_per_line_suppression_via_deep_lint(self, tmp_path):
-        target = tmp_path / "phases.py"
-        target.write_text(textwrap.dedent("""
-            def geometry_phase(draw):
-                probe = draw.fault_plan  # simlint: disable=phase-impure
-                return probe
-        """))
-        findings = lint_paths([target], deep=True)
-        assert [f for f in findings if f.rule == RULE_PHASE] == []
+    def test_same_read_outside_phase_is_allowed(self, monkeypatch, wolf):
+        # the fragment phase reads owner masks and fault repair reassigns
+        # draws, yet the geometry artifacts stay identical and shared
+        check_phase_independence(monkeypatch, wolf)
 
 
-# -------------------------------------------------------------- hot-alloc
+# --------------------------------------------------------------- hot-alloc
 
 
 class TestHotAlloc:
@@ -370,52 +294,20 @@ class TestHotAlloc:
 # ------------------------------------------------------ seeded mutations
 
 
-def _copy_src_repro(tmp_path):
-    tree = tmp_path / "repro"
-    shutil.copytree(REPO_SRC, tree)
-    return tree
-
-
-def _mutate(tree, relative, old, new):
-    target = tree / relative
-    source = target.read_text()
-    mutated = source.replace(old, new)
-    assert mutated != source, f"mutation anchor vanished from {relative}"
-    target.write_text(mutated)
-
-
 class TestEffectsMeta:
-    def test_fault_read_in_geometry_phase_is_found(self, tmp_path):
-        tree = _copy_src_repro(tmp_path)
-        _mutate(tree, "render/phases.py",
-                "    if draw.num_triangles == 0:",
-                "    _probe = draw.fault_plan\n"
-                "    if draw.num_triangles == 0:")
-        findings = [f for f in lint_paths([tree], deep=True)
-                    if f.rule == RULE_PHASE]
-        assert findings, "seeded fault-state read not detected"
-        assert all(f.path.endswith("phases.py") for f in findings)
-        assert any("fault" in f.message for f in findings)
+    def test_fault_read_in_geometry_phase_is_found(self, monkeypatch, wolf,
+                                                   ambient_run):
+        monkeypatch.setattr(service_module, "geometry_phase",
+                            _fault_aware_geometry)
+        with pytest.raises(AssertionError, match="geometry artifact"):
+            check_phase_independence(monkeypatch, wolf)
 
-    def test_stale_pure_annotation_is_found(self, tmp_path):
-        tree = _copy_src_repro(tmp_path)
-        _mutate(tree, "render/phases.py",
-                "def fragment_phase(artifact: DrawArtifact, "
-                "draw: DrawCommand,",
-                "def fragment_phase(artifact: DrawArtifact,  # effect: pure\n"
-                "                   draw: DrawCommand,")
-        findings = [f for f in lint_paths([tree], deep=True)
-                    if f.rule == RULE_UNDECLARED]
-        assert findings, "seeded stale annotation not detected"
-        assert any("fragment_phase()" in f.message for f in findings)
-
-    def test_hot_path_allocation_is_found(self, tmp_path):
-        tree = _copy_src_repro(tmp_path)
-        _mutate(tree, "raster/rasterizer.py",
-                "_WINDING_SWAP, _WINDING_KEEP)",
-                "[0, 2, 1], _WINDING_KEEP)")
-        findings = [f for f in lint_paths([tree], deep=True)
-                    if f.rule == RULE_HOT_ALLOC]
+    def test_hot_path_allocation_is_found(self, mutated_src):
+        project = mutated_src("raster/rasterizer.py",
+                              "_WINDING_SWAP, _WINDING_KEEP)",
+                              "[0, 2, 1], _WINDING_KEEP)")
+        findings = check_project(project, [HotAllocPass()])
         assert findings, "seeded per-call allocation not detected"
+        assert findings[0].rule == RULE_HOT_ALLOC
         assert findings[0].path.endswith("rasterizer.py")
         assert findings[0].severity == "warning"

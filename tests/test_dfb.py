@@ -1,6 +1,7 @@
 """The distributed framebuffer (dfb): tile-granular async composition.
 
-The functional core's contract, then the scheme end-to-end:
+The functional core's contract (checked with the tile-by-tile reducers
+in ``tests/oracles/tile_reducers.py``), then the scheme end-to-end:
 
 1. *opaque*: folding tiles in **any** arrival order is bit-identical to
    the whole-sub-image sequential compositor — including under depth
@@ -21,9 +22,7 @@ import pytest
 
 from repro.composition import composite_opaque, composite_transparent
 from repro.composition.compositor import SubImage
-from repro.composition.dfb import (OpaqueTileReducer, TransparentTileReducer,
-                                   all_tile_messages, plan_group_tiles,
-                                   reduce_opaque_tiles, tree_edge_tile_sizes)
+from repro.composition.dfb import plan_group_tiles, tree_edge_tile_sizes
 from repro.errors import CompositionError, FaultError, SchedulingError
 from repro.faults import parse_fault_plan
 from repro.framebuffer.depth import DEPTH_CLEAR
@@ -33,6 +32,9 @@ from repro.geometry import BlendOp
 from repro.harness.runner import make_setup, run
 from repro.raster import TileGrid
 from repro.traces import load_benchmark
+
+from .oracles.tile_reducers import (OpaqueTileReducer, TransparentTileReducer,
+                                    all_tile_messages, reduce_opaque_tiles)
 
 WIDTH, HEIGHT, TILE = 20, 12, 4  # 5 x 3 tiles, edge-exact
 

@@ -1,15 +1,14 @@
 """Deep analysis tests: flow engine, units checker, taint pass, baseline.
 
-The meta-tests at the bottom are the teeth: they copy ``src/repro`` into a
-temp tree, seed it with exactly the bug class each pass exists to catch
-(a bytes-vs-cycles mix-up in ``CostModel``, a set-iteration order leak
-into event scheduling), and require the deep lint to find it — while the
-unmutated tree stays at zero findings.
+The meta-tests at the bottom are the teeth: they seed the session's
+parsed ``src/repro`` with exactly the bug class each pass exists to
+catch (a bytes-vs-cycles mix-up in ``CostModel``, a set-iteration order
+leak into event scheduling) and require that pass to find it — while
+the unmutated tree stays at zero findings.
 """
 
 import json
 import pathlib
-import shutil
 import textwrap
 
 import pytest
@@ -17,10 +16,11 @@ import pytest
 from repro.analysis import (filter_baselined, lint_project, lint_paths,
                             load_baseline, save_baseline)
 from repro.analysis.flow import Project, module_name_for
-from repro.analysis.simlint import Finding, LintModule
-from repro.analysis.taint import TaintChecker
-from repro.analysis.units import (ANY, UNKNOWN, UnitChecker, format_unit,
-                                  mul_units, parse_unit, unit_from_name)
+from repro.analysis.simlint import Finding, LintModule, check_project
+from repro.analysis.taint import TaintChecker, TaintPass
+from repro.analysis.units import (ANY, UNKNOWN, UnitChecker, UnitsPass,
+                                  format_unit, mul_units, parse_unit,
+                                  unit_from_name)
 from repro.cli import main
 
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -53,29 +53,29 @@ class TestFlowEngine:
         assert name == "repro.sim"
         assert is_package
 
-    def test_indexes_src_repro(self):
-        project = Project.from_paths([REPO_SRC])
+    def test_indexes_src_repro(self, src_project):
+        project = src_project
         assert "repro.timing.costs" in project.modules
         assert "repro.timing.costs.CostModel" in project.classes
         assert ("repro.timing.costs.CostModel.dram_bytes_per_cycle"
                 in project.functions)
 
-    def test_resolves_reexports(self):
-        project = Project.from_paths([REPO_SRC])
+    def test_resolves_reexports(self, src_project):
+        project = src_project
         # `from ..sim import Simulator` chases through sim/__init__.py
         cls = project.lookup_class("repro.sim.Simulator")
         assert cls is not None
         assert cls.qualname == "repro.sim.core.Simulator"
 
-    def test_attr_chain_typing(self):
-        project = Project.from_paths([REPO_SRC])
+    def test_attr_chain_typing(self, src_project):
+        project = src_project
         cost_model = project.classes["repro.timing.costs.CostModel"]
         gpu = project.attr_class(cost_model, "gpu")
         assert gpu is not None
         assert gpu.qualname == "repro.config.GPUConfig"
 
-    def test_call_graph_has_interprocedural_edge(self):
-        project = Project.from_paths([REPO_SRC])
+    def test_call_graph_has_interprocedural_edge(self, src_project):
+        project = src_project
         graph = project.call_graph()
         base = "repro.timing.costs.CostModel"
         assert f"{base}.dram_bytes_per_cycle" \
@@ -328,47 +328,30 @@ class TestBaseline:
 # ----------------------------------------------- meta: src/repro must pass
 
 
-def _copy_src_repro(tmp_path):
-    tree = tmp_path / "repro"
-    shutil.copytree(REPO_SRC, tree)
-    return tree
-
-
 class TestDeepLintMeta:
     def test_src_repro_is_deep_clean(self):
         findings = lint_paths([REPO_SRC], deep=True)
         assert findings == []
 
-    def test_units_catch_seeded_bytes_vs_cycles_mutation(self, tmp_path):
-        tree = _copy_src_repro(tmp_path)
-        costs = tree / "timing" / "costs.py"
-        source = costs.read_text()
-        mutated = source.replace(
+    def test_units_catch_seeded_bytes_vs_cycles_mutation(self, mutated_src):
+        project = mutated_src(
+            "timing/costs.py",
             "return miss_bytes / self.dram_bytes_per_cycle()",
             "return miss_bytes + self.dram_bytes_per_cycle()")
-        assert mutated != source
-        costs.write_text(mutated)
-        findings = [f for f in lint_paths([tree], deep=True)
-                    if f.rule.startswith("unit")]
+        findings = check_project(project, [UnitsPass()])
         assert any(f.rule == "unit-mismatch"
                    and "costs.py" in f.path for f in findings)
 
-    def test_units_catch_seeded_inverted_division(self, tmp_path):
-        tree = _copy_src_repro(tmp_path)
-        costs = tree / "timing" / "costs.py"
-        source = costs.read_text()
-        mutated = source.replace("/ self.gpu.frequency_hz",
-                                 "* self.gpu.frequency_hz")
-        assert mutated != source
-        costs.write_text(mutated)
-        findings = lint_paths([tree], deep=True)
+    def test_units_catch_seeded_inverted_division(self, mutated_src):
+        project = mutated_src("timing/costs.py", "/ self.gpu.frequency_hz",
+                              "* self.gpu.frequency_hz")
+        findings = check_project(project, [UnitsPass()])
         assert any(f.rule == "unit-return" and "costs.py" in f.path
                    for f in findings)
 
-    def test_taint_catches_seeded_set_leak_into_scheduling(self, tmp_path):
-        tree = _copy_src_repro(tmp_path)
-        chopin = tree / "sfr" / "chopin.py"
-        chopin.write_text(chopin.read_text() + textwrap.dedent("""\
+    def test_taint_catches_seeded_set_leak_into_scheduling(self,
+                                                          mutated_src):
+        project = mutated_src("sfr/chopin.py", None, textwrap.dedent("""\
 
 
             def _pending_order(pending):
@@ -380,8 +363,7 @@ class TestDeepLintMeta:
                 for delay in _pending_order(pending):
                     yield sim.timeout(delay)
         """))
-        findings = lint_paths([tree], deep=True)
-        taint = [f for f in findings if f.rule == "nondet-taint"]
+        taint = check_project(project, [TaintPass()])
         assert any("chopin.py" in f.path
                    and "set iteration order" in f.message for f in taint)
 

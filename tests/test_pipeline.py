@@ -1,13 +1,15 @@
-"""The functional graphics pipeline end to end."""
+"""The functional graphics pipeline end to end, through a RenderSession."""
 
 import numpy as np
 import pytest
 
-from repro.framebuffer import DEPTH_CLEAR, SurfacePool
+from repro.errors import PipelineError, TraceError
+from repro.framebuffer import DEPTH_CLEAR, Framebuffer, SurfacePool
 from repro.geometry import (BlendOp, DepthFunc, DrawCommand, RenderState,
                             fullscreen_quad)
-from repro.raster import GraphicsPipeline, TileGrid
-from repro.errors import PipelineError
+from repro.raster import TileGrid
+from repro.render import RenderService
+from repro.traces import Frame, Trace
 
 
 def ndc_quad(x0, y0, x1, y1, depth, color=(1, 1, 1, 1), **state_kwargs):
@@ -22,7 +24,9 @@ def ndc_quad(x0, y0, x1, y1, depth, color=(1, 1, 1, 1), **state_kwargs):
 
 @pytest.fixture()
 def pipe():
-    return GraphicsPipeline(32, 32)
+    """A session on an empty 32x32 clip-space trace, with its own store."""
+    trace = Trace(name="blank", width=32, height=32, frames=[Frame([])])
+    return RenderService().session(trace)
 
 
 @pytest.fixture()
@@ -74,8 +78,10 @@ class TestBasicRendering:
         assert np.allclose(pool.render_target(2).color[0, 0, :3], [1, 0, 0])
 
     def test_viewport_must_be_positive(self):
+        with pytest.raises(TraceError):
+            Trace(name="blank", width=0, height=32, frames=[Frame([])])
         with pytest.raises(PipelineError):
-            GraphicsPipeline(0, 32)
+            Framebuffer(32, 0)
 
 
 class TestDepthModes:

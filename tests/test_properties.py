@@ -10,9 +10,11 @@ from repro.composition import (SubImage, composite_opaque,
                                composite_transparent_tree, depth_merge)
 from repro.framebuffer import SurfacePool
 from repro.geometry import BlendOp, DrawCommand, RenderState
-from repro.raster import GraphicsPipeline, TileGrid
+from repro.raster import TileGrid
 from repro.raster.rasterizer import rasterize_triangles
+from repro.render import RenderService
 from repro.sim import Simulator
+from repro.traces import Frame, Trace
 from repro.core.draw_scheduler import LeastRemainingTrianglesScheduler
 
 colors_arr = hnp.arrays(np.float32, (4, 4, 4),
@@ -88,7 +90,8 @@ class TestRasterProperties:
         colors = rng.random((6, 3, 4), dtype=np.float32)
         draw = DrawCommand(draw_id=0, positions=positions, colors=colors)
         grid = TileGrid(32, 32, tile_size=8)
-        pipe = GraphicsPipeline(32, 32)
+        pipe = RenderService().session(
+            Trace(name="blank", width=32, height=32, frames=[Frame([])]))
         pool = SurfacePool(32, 32)
         metrics = pipe.execute_draw(draw, pool,
                                     owner_map=grid.owner_map(num_gpus),

@@ -16,19 +16,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.harness.engine import Engine, benchmark_job
 from repro.harness.runner import make_setup, run
-from repro.render import (ArtifactStore, RenderService, render_service,
-                          store_key)
-from repro.render import service as service_module
+from repro.render import ArtifactStore, render_service, store_key
 from repro.traces import load_benchmark
-
-
-@pytest.fixture
-def fresh_service(monkeypatch):
-    """Swap in an isolated RenderService so tests cannot cross-pollute
-    the process-wide store (or leave a dangling tmp disk tier on it)."""
-    svc = RenderService()
-    monkeypatch.setattr(service_module, "_SERVICE", svc)
-    yield svc
 
 
 def _assert_results_match(a, b):
@@ -219,22 +208,28 @@ class TestDeprecations:
 
 class TestLayering:
     def test_no_scheme_drives_the_pipeline_directly(self):
-        """Schemes must consume repro.render, not raster.pipeline."""
+        """Schemes render through a RenderSession, never the raw phases."""
         import repro.sfr
         sfr_dir = pathlib.Path(repro.sfr.__file__).parent
         offenders = [path.name for path in sorted(sfr_dir.glob("*.py"))
-                     if "GraphicsPipeline" in path.read_text()]
+                     if "geometry_phase" in path.read_text()
+                     or "fragment_phase" in path.read_text()]
         assert offenders == []
 
     def test_pipeline_shim_matches_service_output(self, fresh_service):
-        """The store-free GraphicsPipeline primitive and the service
-        produce identical metrics for the same draw."""
+        """The two phases called directly, without a store, and the
+        service produce identical metrics for the same draw."""
         from repro.framebuffer.framebuffer import SurfacePool
-        from repro.raster.pipeline import GraphicsPipeline
+        from repro.render import build_shader_library
+        from repro.render.phases import (Camera, fragment_phase,
+                                         geometry_phase)
         trace = load_benchmark("wolf", "tiny")
         draw = trace.frame.draws[0]
-        direct = GraphicsPipeline(trace.width, trace.height).execute_draw(
-            draw, SurfacePool(trace.width, trace.height), mvp=trace.camera)
+        artifact = geometry_phase(draw, Camera(trace.camera), trace.width,
+                                  trace.height)
+        direct = fragment_phase(
+            artifact, draw, SurfacePool(trace.width, trace.height),
+            build_shader_library(trace), trace.width, trace.height)
         session = render_service().session(trace)
         via_service = session.execute_draw(
             draw, SurfacePool(trace.width, trace.height))
