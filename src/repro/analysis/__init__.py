@@ -8,9 +8,9 @@ fail-stop recovery, and every speedup figure trustworthy):
   an AST-based lint over Python sources with simulator-specific rules:
   unseeded global RNG use, wall-clock reads, iteration over unordered sets,
   mutable default arguments, sim processes yielding non-Event values,
-  broad exception handlers that can swallow the kernel's process-kill
-  exception, and two error-contract rules (a silently swallowed library
-  error, a raise of bare ``Exception``). ``python -m repro lint`` drives
+  broad exception handlers that can swallow ``GeneratorExit``, and two
+  error-contract rules (a silently swallowed library error, a raise of
+  bare ``Exception``). ``python -m repro lint`` drives
   it; ``# simlint: disable=<rule>`` suppresses a finding on its line.
 
 - **race sanitizer** (:mod:`repro.analysis.sanitizer`) — opt-in runtime

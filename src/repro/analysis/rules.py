@@ -20,7 +20,7 @@ The built-in rules target the determinism hazards of a discrete-event
 simulator: anything that makes two runs of the same seed diverge (global
 RNG, wall clock, unordered iteration) and anything that silently corrupts
 the kernel's control flow (non-Event yields, handlers that swallow the
-``GeneratorExit`` raised by ``Process.kill``). Two more keep failures on
+``GeneratorExit`` a closed generator receives). Two more keep failures on
 the typed error contract (:mod:`repro.errors`): a handler must not
 silently swallow a library error, and a raise must not bypass the
 taxonomy with a bare ``Exception``.
@@ -493,12 +493,12 @@ class YieldNonEvent(Rule):
 @register
 class BroadExcept(Rule):
     """``except:`` and ``except BaseException:`` catch the
-    ``GeneratorExit`` raised by ``Process.kill`` (and KeyboardInterrupt),
-    so a killed process can refuse to die and keep its ports pinned.
+    ``GeneratorExit`` a generator gets when it is closed (and
+    KeyboardInterrupt), so a closed process body can refuse to stop.
     Catch ``Exception``, or re-raise with a bare ``raise``."""
 
     name = "broad-except"
-    description = ("bare/BaseException handler can swallow Process.kill; "
+    description = ("bare/BaseException handler can swallow GeneratorExit; "
                    "catch Exception or re-raise")
     severity = "warning"
 
@@ -519,8 +519,8 @@ class BroadExcept(Rule):
             if not reraises:
                 yield module.finding(
                     node, self.name,
-                    f"{label} swallows GeneratorExit from Process.kill "
-                    f"and KeyboardInterrupt; catch Exception or add a "
+                    f"{label} swallows GeneratorExit and "
+                    f"KeyboardInterrupt; catch Exception or add a "
                     f"bare `raise`")
 
 

@@ -152,8 +152,9 @@ class ImageCompositionScheduler:
         re-check), so same-cycle updates from several GPUs are the
         intended operating mode, not a race.
         """
-        if self.sim is not None:
-            self.sim.record_access("scheduler:table", ACCESS_ARBITRATED)
+        sim = self.sim
+        if sim is not None and sim.sanitizer is not None:
+            sim.record_access("scheduler:table", ACCESS_ARBITRATED)
 
     def _mask_of(self, gpus: Iterable[int]) -> int:
         mask = 0

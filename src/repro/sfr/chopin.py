@@ -422,7 +422,7 @@ class Chopin(SFRScheme):
                     if len(view.alive) > 1:
                         own_pixels = trace.width * trace.height / len(
                             view.alive)
-                        yield from interconnect.broadcast(
+                        yield interconnect.broadcast(
                             gpu, own_pixels * DEPTH_BYTES, TRAFFIC_SYNC,
                             targets=view.alive)
                         yield view.barrier.wait()
@@ -538,8 +538,8 @@ class Chopin(SFRScheme):
             yield sim.all_of([ready_s, ready_r])
             for pixels in messages:
                 if pixels:
-                    yield from transport.deliver(sender, receiver,
-                                                 pixels * samples)
+                    yield transport.deliver(sender, receiver,
+                                            pixels * samples)
             out.succeed()
 
         ready: Dict[int, Event] = {m: chunk_done[m] for m in view.alive}
@@ -564,7 +564,7 @@ class Chopin(SFRScheme):
                 transport.stats.add_cycles(root, STAGE_COMPOSITION,
                                            compose_cycles)
             elif pixels:
-                yield from transport.deliver(root, dst, pixels)
+                yield transport.deliver(root, dst, pixels)
             scatter_done[dst].succeed()
 
         for dst in view.alive:

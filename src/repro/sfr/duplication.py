@@ -84,7 +84,7 @@ class PrimitiveDuplication(SFRScheme):
                 yield barrier.wait()
                 if seg_index < len(segments) - 1 and num_gpus > 1:
                     # Render-target switch: broadcast owned surface regions.
-                    yield from interconnect.broadcast(
+                    yield interconnect.broadcast(
                         gpu, sync_bytes, TRAFFIC_SYNC)
                     yield barrier.wait()
 

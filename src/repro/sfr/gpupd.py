@@ -196,7 +196,7 @@ class GPUpd(SFRScheme):
                 yield engines[gpu].drain()
                 yield barrier.wait()
                 if seg_index < len(segment_batches) - 1 and num_gpus > 1:
-                    yield from interconnect.broadcast(
+                    yield interconnect.broadcast(
                         gpu, sync_bytes, TRAFFIC_SYNC)
                     yield barrier.wait()
 
@@ -214,8 +214,8 @@ class GPUpd(SFRScheme):
                             nbytes = float(batch.dist_bytes[src, dst])
                             if dst == src or nbytes == 0.0:
                                 continue
-                            sends.append(sim.process(interconnect.transfer(
-                                src, dst, nbytes, TRAFFIC_PRIMITIVES)))
+                            sends.append(interconnect.transfer(
+                                src, dst, nbytes, TRAFFIC_PRIMITIVES))
                         if sends:
                             yield sim.all_of(sends)
                             stats.add_cycles(src, STAGE_DISTRIBUTION,

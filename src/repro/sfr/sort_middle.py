@@ -103,7 +103,7 @@ class SortMiddle(SFRScheme):
                 yield engines[gpu].drain()
                 yield barrier.wait()
                 if seg_index < len(segment_batches) - 1 and num_gpus > 1:
-                    yield from interconnect.broadcast(
+                    yield interconnect.broadcast(
                         gpu, sync_bytes, TRAFFIC_SYNC)
                     yield barrier.wait()
 
@@ -120,8 +120,8 @@ class SortMiddle(SFRScheme):
                             nbytes = float(batch["xchg_bytes"][src, dst])
                             if src == dst or nbytes == 0.0:
                                 continue
-                            sends.append(sim.process(interconnect.transfer(
-                                src, dst, nbytes, TRAFFIC_PRIMITIVES)))
+                            sends.append(interconnect.transfer(
+                                src, dst, nbytes, TRAFFIC_PRIMITIVES))
                     if sends:
                         yield sim.all_of(sends)
                         elapsed = sim.now - start_time

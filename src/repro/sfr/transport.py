@@ -22,7 +22,7 @@ from ..core.composition_scheduler import ImageCompositionScheduler
 from ..sim import Countdown, Event, Simulator
 from ..stats import RunStats, STAGE_COMPOSITION, TRAFFIC_COMPOSITION
 from ..timing.costs import CostModel
-from ..timing.interconnect import Interconnect
+from ..timing.interconnect import Interconnect, PortsReleased
 
 #: one opaque group's messages: [src] -> [(dst, pixels)]
 MessagePlan = List[List[Tuple[int, int]]]
@@ -61,13 +61,20 @@ class Transport:
                 for level in view.tree_levels]
 
     def deliver(self, src: int, dst: int, pixels: int,
-                gate: Optional[Event] = None) -> Generator:
-        """Process fragment: send ``pixels`` and compose them at ``dst``."""
+                gate: Optional[Event] = None,
+                latch: Optional[Countdown] = None) -> Event:
+        """Send ``pixels`` and compose them at ``dst``; the returned event
+        fires once they are composed (after arriving at ``latch``)."""
         compose_cycles = self.costs.compose_cycles(pixels)
-        yield from self.interconnect.transfer(
+
+        def composed() -> None:
+            self.stats.add_cycles(dst, STAGE_COMPOSITION, compose_cycles)
+            if latch is not None:
+                latch.arrive()
+
+        return self.interconnect.transfer(
             src, dst, pixels * self.pixel_bytes, TRAFFIC_COMPOSITION,
-            gate=gate, receive_cycles=compose_cycles)
-        self.stats.add_cycles(dst, STAGE_COMPOSITION, compose_cycles)
+            gate=gate, receive_cycles=compose_cycles, on_delivered=composed)
 
 
 class _PushTransport(Transport):
@@ -98,17 +105,12 @@ class _PushTransport(Transport):
         if gates[gpu] is not None:
             gates[gpu].succeed()  # messages parked for this GPU may land
         samples = self.samples
-        sends = [self.sim.process(self._send(gpu, dst, pixels * samples,
-                                             gates[dst], latches[dst]))
+        sends = [self.deliver(gpu, dst, pixels * samples, gates[dst],
+                              latches[dst])
                  for dst, pixels in plan[gpu]]
         if sends:
             yield self.sim.all_of(sends)
         yield latches[gpu].event
-
-    def _send(self, src: int, dst: int, pixels: int, gate: Optional[Event],
-              latch: Countdown) -> Generator:
-        yield from self.deliver(src, dst, pixels, gate)
-        latch.arrive()
 
 
 class GatedDirectSend(_PushTransport):
@@ -192,12 +194,14 @@ class ReadyIdlePairing(Transport):
                 # Pull the sub-image; free the pair for new matches as soon
                 # as the ports drain (the message tail — latency + ROP
                 # composition — pipelines with the next pull).
-                released = Event(sim)
+                released = PortsReleased(sim)
                 compose_cycles = self.costs.compose_cycles(pixels)
-                in_flight.append(sim.process(self.interconnect.transfer(
+                transfer = self.interconnect.transfer(
                     sender, gpu, pixels * self.pixel_bytes,
                     TRAFFIC_COMPOSITION, receive_cycles=compose_cycles,
-                    ports_released=released)))
+                    ports_released=released)
+                released.transfer = transfer
+                in_flight.append(transfer)
                 self.stats.add_cycles(gpu, STAGE_COMPOSITION, compose_cycles)
                 yield released
             sched.complete(sender, gpu)

@@ -146,6 +146,13 @@ def _describe_wait(event: Optional[Event]) -> str:
     """Human-readable description of what a process is suspended on."""
     if event is None:
         return "nothing (not yet started or already resuming)"
+    describe = getattr(event, "describe", None)
+    if describe is not None:  # e.g. an interconnect transfer
+        return describe()
+    if isinstance(event, AllOf):
+        pending = [e for e in event._events if not e.processed]
+        return (f"all of {len(event._events)} events, {len(pending)} "
+                f"pending: " + ", ".join(_describe_wait(e) for e in pending))
     resource = getattr(event, "resource", None)
     if resource is not None:
         label = resource.name or type(resource).__name__
@@ -181,7 +188,7 @@ class Process(Event):
     processes.
     """
 
-    __slots__ = ("generator", "name", "daemon", "killed", "_waiting_on")
+    __slots__ = ("generator", "name", "daemon", "_waiting_on")
 
     def __init__(self, sim: "Simulator",
                  generator: Generator[Event, Any, Any],
@@ -190,7 +197,6 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self.daemon = daemon
-        self.killed = False
         self._waiting_on: Optional[Event] = None
         sim._register_process(self)
         # Bootstrap: resume once the simulator starts (or immediately if
@@ -226,21 +232,6 @@ class Process(Event):
             tick.callbacks.append(self._resume)
         else:
             target.callbacks.append(self._resume)
-
-    def kill(self, value: Any = None) -> None:
-        """Terminate the process (e.g., an injected fail-stop).
-
-        Closes the generator, which raises ``GeneratorExit`` at its current
-        suspension point so ``finally`` blocks run — this is what lets a
-        dying transfer release its interconnect ports. The process event
-        then succeeds with ``value`` so waiters are not stranded.
-        """
-        if self.triggered:
-            return
-        self.killed = True
-        self.generator.close()
-        self._waiting_on = None
-        self.succeed(value)
 
     def describe_wait(self) -> str:
         return _describe_wait(self._waiting_on)
@@ -284,11 +275,6 @@ class Simulator:
         self.watchdog_cycles: Optional[float] = watchdog_cycles
         self.sanitizer: Optional[RaceSanitizer] = (
             RaceSanitizer() if sanitize else None)
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process whose generator body is currently executing."""
-        return self._active_process
 
     def record_access(self, resource: str, kind: str = ACCESS_WRITE,
                       process: Optional[str] = None) -> None:
@@ -403,7 +389,7 @@ class Simulator:
         return self.now
 
     def stuck_processes(self) -> List[Process]:
-        """Non-daemon processes that have neither finished nor been killed."""
+        """Non-daemon processes that have not finished."""
         return [p for p in self._processes
                 if not p.triggered and not p.daemon]
 

@@ -25,8 +25,11 @@ def _arbitrated(obj: Any) -> None:
     construction (FIFO / priority + insertion order), so same-cycle
     contention is the intended case, not a race.
     """
+    sim = obj.sim
+    if sim.sanitizer is None:
+        return
     label = f"{type(obj).__name__.lower()}:{obj.name or '<anon>'}"
-    obj.sim.record_access(label, ACCESS_ARBITRATED)
+    sim.record_access(label, ACCESS_ARBITRATED)
 
 
 class Request(Event):
@@ -82,25 +85,6 @@ class Resource:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
             nxt.succeed(self)
-
-    def cancel(self, request: Request) -> None:
-        """Withdraw a not-yet-granted request (no-op if already granted)."""
-        try:
-            self._waiting.remove(request)
-        except ValueError:
-            pass
-
-    def withdraw(self, request: Request) -> None:
-        """Release the request if granted, cancel it if still queued.
-
-        Safe to call from ``finally`` blocks regardless of how far the
-        owning process got — this is what keeps a port from being pinned
-        forever when the process holding (or awaiting) it dies mid-transfer.
-        """
-        if request in self._users:
-            self.release(request)
-        else:
-            self.cancel(request)
 
 
 class PriorityRequest(Request):

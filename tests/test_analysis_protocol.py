@@ -1,9 +1,9 @@
 """The resource protocol, checked where it matters: in the DES kernel.
 
 A port claim (``Resource.request``, an event the process yields until
-granted) must be released on every path, including when the owning
-process is killed mid-hold, and two processes must never take the same
-pair of resources in opposite orders. The
+granted) must be released on every path, including when an exception
+the process catches skips the code after the claim, and two claimants
+must never take the same pair of resources in opposite orders. The
 kernel enforces both at runtime: a leaked hold or a lock-order cycle
 leaves some process waiting forever, so the event queue drains with
 unfinished processes and ``Simulator.run``'s drain watchdog raises a
@@ -11,11 +11,13 @@ unfinished processes and ``Simulator.run``'s drain watchdog raises a
 raises at once.
 
 The scenarios below are small processes around one contended port; the
-meta-tests at the bottom seed the interconnect itself with a dropped
-port release and a reversed acquisition order and require a 4-GPU wolf
-frame to trip the watchdog.
+meta-tests at the bottom seed the interconnect's transfers themselves
+with a dropped port release and a reversed acquisition order and
+require a 4-GPU wolf frame to trip the watchdog, naming a stuck
+transfer.
 """
 
+import copy
 import itertools
 
 import pytest
@@ -35,25 +37,25 @@ def _waiter(sim, port, start=2):
     port.release(req)
 
 
-def _killer(sim, victim, at=1):
-    yield sim.timeout(at)
-    victim.kill()
+class Abort(Exception):
+    """An error a worker raises and catches itself, mid-hold."""
 
 
-def contend(worker, capacity=1, kill_at=None, holder=False):
+def _failing_step(sim):
+    """Work that fails after a yield."""
+    yield sim.timeout(3)
+    raise Abort
+
+
+def contend(worker, capacity=1):
     """Run ``worker(sim, port)`` against a later waiter on the same port.
 
     Returns the drain watchdog's message, or None when every process
-    finished. ``kill_at`` kills the worker at that cycle; ``holder``
-    first lets another process hold the port for 3 cycles.
+    finished.
     """
     sim = Simulator()
     port = Resource(sim, capacity=capacity, name="port")
-    if holder:
-        sim.process(_holder(sim, port), name="holder")
-    process = sim.process(worker(sim, port), name="worker")
-    if kill_at is not None:
-        sim.process(_killer(sim, process, kill_at), name="killer")
+    sim.process(worker(sim, port), name="worker")
     sim.process(_waiter(sim, port), name="waiter")
     try:
         sim.run()
@@ -62,13 +64,6 @@ def contend(worker, capacity=1, kill_at=None, holder=False):
             raise
         return str(exc)
     return None
-
-
-def _holder(sim, port):
-    req = port.request()
-    yield req
-    yield sim.timeout(3)
-    port.release(req)
 
 
 # ------------------------------------------------------------ leaked-hold
@@ -119,12 +114,12 @@ class TestLeakedHold:
             req = port.request()
             yield req
             try:
-                yield sim.timeout(3)
-            except ValueError:
-                pass
+                yield from _failing_step(sim)
+            except Abort:
+                return  # the handler exits before the release
             port.release(req)
 
-        assert contend(worker, kill_at=1) is not None
+        assert contend(worker) is not None
 
     def test_release_via_callee_is_clean(self):
         def done(port, req):
@@ -144,40 +139,49 @@ class TestLeakedHold:
 class TestYieldWhileHolding:
     def test_unprotected_yield_flags(self):
         def worker(sim, port):
-            req = port.request()
-            yield req
-            yield sim.timeout(3)
-            port.release(req)
+            try:
+                req = port.request()
+                yield req
+                yield from _failing_step(sim)
+                port.release(req)
+            except Abort:
+                pass
 
-        assert contend(worker, kill_at=1) is not None
+        assert contend(worker) is not None
 
     def test_finally_release_protects_the_hold(self):
         def worker(sim, port):
-            req = port.request()
-            yield req
             try:
-                yield sim.timeout(3)
-            finally:
-                port.withdraw(req)
+                req = port.request()
+                yield req
+                try:
+                    yield from _failing_step(sim)
+                finally:
+                    port.release(req)
+            except Abort:
+                pass
 
-        assert contend(worker, kill_at=1) is None
+        assert contend(worker) is None
 
     def test_finally_release_through_callee_protects(self):
         def cleanup(port, req):
-            port.withdraw(req)
+            port.release(req)
 
         def worker(sim, port):
-            req = port.request()
-            yield req
             try:
-                yield sim.timeout(3)
-            finally:
-                cleanup(port, req)
+                req = port.request()
+                yield req
+                try:
+                    yield from _failing_step(sim)
+                finally:
+                    cleanup(port, req)
+            except Abort:
+                pass
 
-        assert contend(worker, kill_at=1) is None
+        assert contend(worker) is None
 
     def test_allowlisted_resource_may_span_yields(self):
-        # holding across yields is fine when nothing kills the holder
+        # holding across yields is fine when every path releases
         def worker(sim, port):
             req = port.request()
             yield req
@@ -185,27 +189,6 @@ class TestYieldWhileHolding:
             port.release(req)
 
         assert contend(worker) is None
-
-    def test_guarded_finally_release_protects(self):
-        # the interconnect idiom: withdraw also cancels a still-queued
-        # claim, so a worker killed while waiting leaves no phantom grant
-        def worker(sim, port):
-            req = None
-            try:
-                req = port.request()
-                yield req
-                yield sim.timeout(3)
-            finally:
-                if req is not None:
-                    port.withdraw(req)
-
-        def careless(sim, port):
-            req = port.request()
-            yield req
-            port.release(req)
-
-        assert contend(worker, kill_at=1, holder=True) is None
-        assert contend(careless, kill_at=1, holder=True) is not None
 
 
 # ----------------------------------------------------------- double-release
@@ -221,15 +204,6 @@ class TestDoubleRelease:
 
         with pytest.raises(SimulationError, match="never granted"):
             contend(worker)
-
-    def test_withdraw_is_idempotent_safe(self):
-        def worker(sim, port):
-            req = port.request()
-            yield req
-            port.withdraw(req)
-            port.withdraw(req)
-
-        assert contend(worker) is None
 
     def test_release_in_branch_then_handler_is_not_double(self):
         def worker(sim, port):
@@ -255,7 +229,7 @@ def _forward(sim, p, q):
         yield b
         q.release(b)
     finally:
-        p.withdraw(a)
+        p.release(a)
 
 
 def _backward(sim, p, q):
@@ -267,7 +241,7 @@ def _backward(sim, p, q):
         yield a
         p.release(a)
     finally:
-        q.withdraw(b)
+        q.release(b)
 
 
 class TestLockOrderCycle:
@@ -305,7 +279,7 @@ class TestLockOrderCycle:
                 yield second
                 port.release(second)
             finally:
-                port.withdraw(first)
+                port.release(first)
 
         assert contend(worker, capacity=2) is None
 
@@ -327,7 +301,7 @@ class TestLockOrderCycle:
                 yield sim.timeout(1)
                 yield from inner_hop()
             finally:
-                outer.withdraw(req)
+                outer.release(req)
 
         sim.process(forward(), name="forward")
         sim.process(_backward(sim, outer, inner), name="backward")
@@ -338,28 +312,19 @@ class TestLockOrderCycle:
 # ------------------------------------------------------- seeded mutations
 
 
-def _reversed_transfer(self, src, dst, num_bytes, category, gate=None,
-                       receive_cycles=0.0, ports_released=None):
-    """``Interconnect.transfer`` taking the receiver's ingress first."""
-    self.stats.add_traffic(src, category, num_bytes)
-    ingress_req = self.ingress[dst].request()
-    try:
-        yield ingress_req
-        egress_req = self.egress[src].request()
-        try:
-            yield egress_req
-            if gate is not None and not gate.processed:
-                yield gate
-            yield from self._stream_with_retries(src, dst, num_bytes)
-        finally:
-            self.egress[src].withdraw(egress_req)
-    finally:
-        self.ingress[dst].withdraw(ingress_req)
-    if ports_released is not None and not ports_released.triggered:
-        ports_released.succeed()
-    yield self.sim.timeout(self.head_latency_cycles(src, dst))
-    if receive_cycles:
-        yield self.sim.timeout(receive_cycles)
+def _ingress_first(net, src, dst, *args, **kwargs):
+    """``Interconnect.transfer`` taking the receiver's ingress first: the
+    transfer runs over a view of ``net`` whose sender egress is the real
+    receiver ingress and vice versa."""
+    view = copy.copy(net)
+    view.egress = {src: net.ingress[dst]}
+    view.ingress = {dst: net.egress[src]}
+    return TRANSFER(view, src, dst, *args, **kwargs)
+
+
+TRANSFER = Interconnect.transfer
+#: the drain watchdog names a transfer and the port it waits on
+STUCK_TRANSFER = r"deadlock.*transfer \d+->\d+ waiting on (egress|ingress)\d+"
 
 
 def _wolf_frame(scheme="chopin+sched"):
@@ -374,25 +339,24 @@ class TestProtocolMeta:
         def leaky_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
             for port in self.egress:
-                port.withdraw = lambda request: None  # dropped release
+                port.release = lambda request: None  # dropped release
 
         _wolf_frame()  # the unmutated frame drains cleanly
         monkeypatch.setattr(Interconnect, "__init__", leaky_init)
-        with pytest.raises(SimulationError, match="deadlock"):
+        with pytest.raises(SimulationError, match=STUCK_TRANSFER):
             _wolf_frame()
 
     def test_catches_seeded_order_reversal(self, monkeypatch):
-        transfer = Interconnect.transfer
         calls = itertools.count()
 
         def mixed_order(self, *args, **kwargs):
             # every other transfer claims ingress before egress
             if next(calls) % 2:
-                return _reversed_transfer(self, *args, **kwargs)
-            return transfer(self, *args, **kwargs)
+                return _ingress_first(self, *args, **kwargs)
+            return TRANSFER(self, *args, **kwargs)
 
-        monkeypatch.setattr(Interconnect, "transfer", _reversed_transfer)
+        monkeypatch.setattr(Interconnect, "transfer", _ingress_first)
         _wolf_frame()  # one consistent order, even reversed, is fine
         monkeypatch.setattr(Interconnect, "transfer", mixed_order)
-        with pytest.raises(SimulationError, match="deadlock"):
+        with pytest.raises(SimulationError, match=STUCK_TRANSFER):
             _wolf_frame()

@@ -14,6 +14,9 @@ traffic equals the bytes the functional prep planned, and the GPUs' busy
 cycles fit inside the frame (known to fail for ``chopin-ideal``, whose
 unbounded link buffering lets composition cycles overlap).
 
+A 64-GPU soak at the bottom pins the order of same-cycle events, which
+the 4-GPU cells rarely exercise.
+
 Regenerate the golden file (only when a timing change is intended) with::
 
     PYTHONPATH=src python tests/test_chopin_timing_golden.py
@@ -28,6 +31,8 @@ import pytest
 from repro.composition.dfb import plan_group_tiles
 from repro.core.workflow import GroupMode
 from repro.faults import parse_fault_plan
+from repro.faults.traces import TraceGenConfig, generate_trace
+from repro.harness.engine import run_soak
 from repro.harness.runner import build_scheme, make_setup, run
 from repro.render import service as service_module
 from repro.render.service import RenderService
@@ -167,6 +172,29 @@ def test_fault_free_composition_traffic_matches_plan(built, cell):
 def test_fault_free_busy_cycles_fit_the_frame(built, cell):
     entry = built[cell_id(*cell)]
     assert entry["busy_cycles"] <= NUM_GPUS * entry["frame_cycles"]
+
+
+#: Per-frame cycles of a 3-frame ``chopin+sched`` soak of wolf on 64 GPUs
+#: (switch) under a GPU failure trace. The 4-GPU cells above rarely tie
+#: two messages on one cycle; at 64 GPUs many do, so this pins the order
+#: in which same-cycle port grants and message tails are processed.
+#: Granting a free port inline (no event pop) moves frame 1 to
+#: 89127.582782; merging a message's head latency and receive work into
+#: one event moves frame 3 to 109209.336814.
+SOAK64_FRAME_CYCLES = [89166.29245941207, 108666.24407231664,
+                       109189.33681425154]
+
+
+def test_soak64_tie_order_sentinel():
+    setup = make_setup("tiny", num_gpus=64, topology="switch")
+    trace = generate_trace(setup.config, TraceGenConfig(
+        seed=7, frames=3, frame_cycles=100_000, gpu_mttf_cycles=4e6,
+        gpu_mttr_cycles=1e6))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(service_module, "_SERVICE", RenderService())
+        report = run_soak(trace, "chopin+sched", "wolf", setup)
+    assert report.all_identical
+    assert [f.frame_cycles for f in report.frames] == SOAK64_FRAME_CYCLES
 
 
 if __name__ == "__main__":

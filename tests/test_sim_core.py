@@ -286,59 +286,6 @@ class TestProcessFailureModes:
         with pytest.raises(ValueError, match=r"\[process 'gpu3-render'\] boom"):
             sim.run()
 
-    def test_kill_runs_finally_blocks(self, sim):
-        cleaned = []
-
-        def holder():
-            try:
-                yield sim.event()
-            finally:
-                cleaned.append(sim.now)
-
-        victim = sim.process(holder(), name="victim")
-
-        def killer():
-            yield sim.timeout(7)
-            victim.kill("killed")
-
-        sim.process(killer(), name="killer")
-        sim.run()
-        assert cleaned == [7.0]
-        assert victim.killed
-        assert victim.value == "killed"
-
-    def test_killed_process_unblocks_waiters(self, sim):
-        resumed = []
-
-        def sleeper():
-            yield sim.event()
-
-        victim = sim.process(sleeper(), name="victim")
-
-        def waiter():
-            value = yield victim
-            resumed.append((sim.now, value))
-
-        def killer():
-            yield sim.timeout(4)
-            victim.kill("gone")
-
-        sim.process(waiter(), name="waiter")
-        sim.process(killer(), name="killer")
-        sim.run()
-        assert resumed == [(4.0, "gone")]
-
-    def test_kill_after_completion_is_a_no_op(self, sim):
-        def quick():
-            yield sim.timeout(1)
-            return "fine"
-
-        p = sim.process(quick(), name="quick")
-        sim.run()
-        p.kill()
-        assert not p.killed
-        assert p.value == "fine"
-
 
 class TestLivelockWatchdog:
     """The configurable virtual-time budget (``watchdog_cycles``)."""

@@ -2,7 +2,7 @@
 
 Random process programs mix zero delays, delays that round away at a
 large clock (``now + d == now``), small and large delays, ``Resource``
-contention, ``AnyOf``/``AllOf``, shared events, joins and kills. Each
+contention, ``AnyOf``/``AllOf``, shared events and joins. Each
 program runs on both kernels through the same ``run(until=...)`` calls
 and the same ``watchdog_cycles`` budget; every resume must see the same
 ``(now, process, value)`` in the same order, every run call must end the
@@ -31,7 +31,6 @@ ops = st.one_of(
     st.tuples(st.just("fire"), st.integers(0, NUM_SIGNALS - 1)),
     st.tuples(st.just("wait"), st.integers(0, NUM_SIGNALS - 1)),
     st.tuples(st.just("join"), st.integers(0, 5)),
-    st.tuples(st.just("kill"), st.integers(0, 5)),
 )
 programs = st.lists(st.lists(ops, max_size=6), min_size=1, max_size=6)
 run_calls = st.lists(st.one_of(st.none(), st.sampled_from(
@@ -65,12 +64,10 @@ def execute(kernel, program, until_calls, watchdog_cycles, daemons):
             elif kind == "request":
                 resource = resources[op[1]]
                 request = resource.request()
-                try:
-                    value = yield request
-                    log.append((sim.now, name, normalize(value)))
-                    value = yield sim.timeout(op[2])
-                finally:
-                    resource.withdraw(request)
+                value = yield request
+                log.append((sim.now, name, normalize(value)))
+                value = yield sim.timeout(op[2])
+                resource.release(request)
             elif kind == "any_of":
                 value = yield sim.any_of([sim.timeout(d) for d in op[1]])
             elif kind == "all_of":
@@ -81,16 +78,11 @@ def execute(kernel, program, until_calls, watchdog_cycles, daemons):
                 continue
             elif kind == "wait":
                 value = yield signals[op[1]]
-            elif kind == "join":
+            else:  # join
                 target = op[1] % len(procs)
                 if target == index:
                     continue
                 value = yield procs[target]
-            else:  # kill
-                target = op[1] % len(procs)
-                if target != index:
-                    procs[target].kill(f"killed-by-{name}")
-                continue
             log.append((sim.now, name, normalize(value)))
         return name
 

@@ -27,15 +27,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release(stranger)
 
-    def test_cancel_removes_waiter(self, sim):
-        res = Resource(sim)
-        held = res.request()
-        waiter = res.request()
-        res.cancel(waiter)
-        res.release(held)
-        assert not waiter.triggered
-        assert res.count == 0
-
     def test_serializes_critical_section(self, sim):
         res = Resource(sim)
         spans = []
@@ -222,7 +213,8 @@ class TestPriorityResource:
 
 
 class TestFailStopCleanup:
-    """Fail-stop (``Process.kill``) interactions with resource state."""
+    """Fail-stop interactions with resource state: a failed GPU's process
+    leaves the frame early instead of reaching its next rendezvous."""
 
     def test_wait_after_party_killed_deadlocks_with_names(self, sim):
         barrier = Barrier(sim, parties=2, name="frame")
@@ -232,92 +224,11 @@ class TestFailStopCleanup:
 
         def doomed():
             yield sim.timeout(5)
-            yield barrier.wait()
+            return  # fail-stop: this party never arrives
 
         sim.process(waiter(), name="survivor")
-        victim = sim.process(doomed(), name="victim")
-        victim.kill()
-        # the killed party never arrives, so the barrier can never fill:
+        sim.process(doomed(), name="victim")
+        # the failed party never arrives, so the barrier can never fill:
         # the drain watchdog must name the stranded waiter
         with pytest.raises(SimulationError, match="survivor"):
             sim.run()
-
-    def test_waiters_on_killed_process_resume(self, sim):
-        def victim_body():
-            yield sim.timeout(100)
-
-        victim = sim.process(victim_body(), name="victim")
-        observed = []
-
-        def supervisor():
-            value = yield victim
-            observed.append(value)
-
-        sim.process(supervisor(), name="supervisor")
-        victim.kill("fail-stop")
-        sim.run()
-        assert observed == ["fail-stop"]
-
-    def test_kill_mid_hold_releases_port_via_finally(self, sim):
-        res = Resource(sim, name="port")
-        finished = []
-
-        def holder():
-            req = res.request()
-            yield req
-            try:
-                yield sim.timeout(100)
-            finally:
-                res.withdraw(req)
-
-        def waiter():
-            yield sim.timeout(1)
-            req = res.request()
-            yield req
-            res.release(req)
-            finished.append(sim.now)
-
-        victim = sim.process(holder(), name="victim")
-        sim.process(waiter(), name="waiter")
-
-        def killer():
-            yield sim.timeout(10)
-            victim.kill()
-
-        sim.process(killer(), name="killer")
-        sim.run()
-        # GeneratorExit ran the holder's finally: the port freed at the
-        # kill instant and the queued waiter was granted, not stranded
-        assert finished == [10.0]
-        assert res.count == 0
-        assert victim.killed
-
-    def test_kill_while_queued_withdraws_the_request(self, sim):
-        res = Resource(sim, name="port")
-
-        def hold_then_release(duration):
-            # the interconnect idiom: the grant-yield sits *inside* the
-            # try so a kill while still queued reaches the withdraw
-            req = res.request()
-            try:
-                yield req
-                yield sim.timeout(duration)
-            finally:
-                res.withdraw(req)
-
-        sim.process(hold_then_release(20), name="holder")
-        victim = sim.process(hold_then_release(5), name="victim")
-        sim.process(hold_then_release(5), name="survivor")
-
-        def killer():
-            yield sim.timeout(1)
-            victim.kill()
-
-        sim.process(killer(), name="killer")
-        # if the victim's queued request were left in the wait queue, the
-        # holder's release would grant a dead process and the survivor
-        # would deadlock; the finally's withdraw() cancels it instead
-        sim.run()
-        assert res.count == 0
-        assert res.queue_length == 0
-        assert victim.killed

@@ -129,7 +129,7 @@ class TestInterconnect:
         done = []
 
         def proc():
-            yield from icn.transfer(0, 1, 6400, TRAFFIC_COMPOSITION)
+            yield icn.transfer(0, 1, 6400, TRAFFIC_COMPOSITION)
             done.append(sim.now)
 
         sim.process(proc())
@@ -138,7 +138,7 @@ class TestInterconnect:
 
     def test_traffic_recorded_on_sender(self):
         sim, icn, stats = self.make()
-        sim.process(icn.transfer(0, 2, 1000, TRAFFIC_COMPOSITION))
+        icn.transfer(0, 2, 1000, TRAFFIC_COMPOSITION)
         sim.run()
         assert stats.gpus[0].traffic_bytes[TRAFFIC_COMPOSITION] == 1000
         assert stats.traffic_total(TRAFFIC_COMPOSITION) == 1000
@@ -148,7 +148,7 @@ class TestInterconnect:
         ends = []
 
         def send(dst):
-            yield from icn.transfer(0, dst, 6400, TRAFFIC_COMPOSITION)
+            yield icn.transfer(0, dst, 6400, TRAFFIC_COMPOSITION)
             ends.append(sim.now)
 
         sim.process(send(1))
@@ -163,7 +163,7 @@ class TestInterconnect:
         ends = []
 
         def send(src):
-            yield from icn.transfer(src, 3, 6400, TRAFFIC_COMPOSITION)
+            yield icn.transfer(src, 3, 6400, TRAFFIC_COMPOSITION)
             ends.append(sim.now)
 
         sim.process(send(0))
@@ -177,12 +177,11 @@ class TestInterconnect:
         ends = {}
 
         def gated():
-            yield from icn.transfer(0, 1, 640, TRAFFIC_COMPOSITION,
-                                    gate=gate)
+            yield icn.transfer(0, 1, 640, TRAFFIC_COMPOSITION, gate=gate)
             ends["gated"] = sim.now
 
         def follower():
-            yield from icn.transfer(0, 2, 640, TRAFFIC_COMPOSITION)
+            yield icn.transfer(0, 2, 640, TRAFFIC_COMPOSITION)
             ends["follower"] = sim.now
 
         def opener():
@@ -203,8 +202,8 @@ class TestInterconnect:
         done = []
 
         def proc():
-            yield from icn.transfer(0, 1, 640, TRAFFIC_COMPOSITION,
-                                    receive_cycles=500)
+            yield icn.transfer(0, 1, 640, TRAFFIC_COMPOSITION,
+                               receive_cycles=500)
             done.append(sim.now)
 
         sim.process(proc())
@@ -217,9 +216,8 @@ class TestInterconnect:
         times = {}
 
         def proc():
-            yield from icn.transfer(0, 1, 640, TRAFFIC_COMPOSITION,
-                                    receive_cycles=500,
-                                    ports_released=released)
+            yield icn.transfer(0, 1, 640, TRAFFIC_COMPOSITION,
+                               receive_cycles=500, ports_released=released)
             times["done"] = sim.now
 
         def watcher():
@@ -237,7 +235,7 @@ class TestInterconnect:
         done = []
 
         def proc():
-            yield from icn.transfer(0, 1, 10**9, TRAFFIC_COMPOSITION)
+            yield icn.transfer(0, 1, 10**9, TRAFFIC_COMPOSITION)
             done.append(sim.now)
 
         sim.process(proc())
@@ -248,13 +246,13 @@ class TestInterconnect:
     def test_transfer_to_self_rejected(self):
         sim, icn, _ = self.make()
         with pytest.raises(SimulationError):
-            list(icn.transfer(1, 1, 100, TRAFFIC_COMPOSITION))
+            icn.transfer(1, 1, 100, TRAFFIC_COMPOSITION)
 
     def test_broadcast_reaches_everyone(self):
         sim, icn, stats = self.make(num_gpus=4)
 
         def proc():
-            yield from icn.broadcast(0, 640, TRAFFIC_COMPOSITION)
+            yield icn.broadcast(0, 640, TRAFFIC_COMPOSITION)
 
         sim.process(proc())
         sim.run()
@@ -278,7 +276,7 @@ class TestSharedBusTopology:
         ends = []
 
         def send(src, dst):
-            yield from icn.transfer(src, dst, 6400, TRAFFIC_COMPOSITION)
+            yield icn.transfer(src, dst, 6400, TRAFFIC_COMPOSITION)
             ends.append(sim.now)
 
         sim.process(send(0, 1))
@@ -292,7 +290,7 @@ class TestSharedBusTopology:
         done = []
 
         def send():
-            yield from icn.transfer(0, 1, 6400, TRAFFIC_COMPOSITION)
+            yield icn.transfer(0, 1, 6400, TRAFFIC_COMPOSITION)
             done.append(sim.now)
 
         sim.process(send())
