@@ -12,8 +12,6 @@ Commands
 ``timeline``        render an ASCII execution Gantt for one scheme
 ``export``          synthesize a benchmark trace and save it to a .npz file
 ``export-results``  run schemes and write a CSV/JSON of flattened results
-``bench``           time a scheme x benchmark sweep cold vs warm against the
-                    artifact store, verify bit-identical output, write JSON
 ``gen-trace``       generate an MTTF-driven failure trace for the configured
                     fabric (topology-fingerprinted JSON; see
                     :mod:`repro.faults.traces`)
@@ -225,46 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=BENCHMARK_NAMES)
     results.add_argument("--schemes", nargs="+", default=list(MAIN_SCHEMES),
                          choices=sorted(SCHEMES))
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure the artifact store: cold vs warm sweep wall-time",
-        description="Run a (scheme x benchmark) sweep twice — once against "
-                    "a cleared artifact store, once warm — assert the two "
-                    "passes produce bit-identical images and identical "
-                    "statistics, and write the wall-times, speedup and "
-                    "store hit rates as JSON. With --artifact-dir the warm "
-                    "pass drops the memory tier first, so it also proves "
-                    "the disk-reload path. Exits 1 when the warm pass "
-                    "misses --min-speedup or diverges from the cold pass.")
-    common(bench)
-    bench.add_argument("--benchmarks", nargs="+", default=["cod2", "wolf"],
-                       choices=BENCHMARK_NAMES)
-    bench.add_argument("--schemes", nargs="+",
-                       default=["duplication", "gpupd", "chopin+sched"],
-                       choices=sorted(SCHEMES))
-    bench.add_argument("--output", default=None,
-                       help="JSON report path (default: "
-                            "BENCH_artifact_cache.json in cache mode, "
-                            "BENCH_pipelining.json in pipelining mode)")
-    bench.add_argument("--min-speedup", type=float, default=1.0,
-                       help="fail (exit 1) when warm wall-time is not at "
-                            "least this factor faster than cold "
-                            "(default 1.0: warm must beat cold)")
-    bench.add_argument("--mode", default="cache",
-                       choices=("cache", "pipelining"),
-                       help="cache: cold-vs-warm artifact-store benchmark "
-                            "(the default). pipelining: simulated-cycle "
-                            "benchmark of the in-flight group window — "
-                            "chopin+sched and dfb at pipeline_depth 1 vs "
-                            "unbounded, asserting bit-identical images and "
-                            "reporting idle/stall/overlap cycles "
-                            "(--schemes is ignored)")
-    bench.add_argument("--min-overlap-win", type=float, default=0.0,
-                       help="pipelining mode gate: fail (exit 1) unless "
-                            "unbounding the window cuts summed idle "
-                            "cycles by at least this fraction vs "
-                            "pipeline_depth=1 (default 0.0)")
 
     gen_trace = sub.add_parser(
         "gen-trace",
@@ -669,190 +627,6 @@ def cmd_export_results(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench_pipelining(args) -> int:
-    """``bench --mode pipelining``: quantify the in-flight group window.
-
-    Runs chopin+sched and dfb twice per benchmark — pipeline_depth=1 (a
-    hard render/composition barrier per group) and unbounded — asserts the
-    images are bit-identical (the window is a timing knob, never a result
-    knob), and reports frame cycles plus the idle/stall/overlap counters.
-    The gate is on summed idle cycles: unbounding the window must cut them
-    by at least ``--min-overlap-win`` (a fraction).
-    """
-    import json
-
-    import numpy as np
-
-    from .stats import gmean
-
-    output = args.output or "BENCH_pipelining.json"
-    schemes = ("chopin+sched", "dfb")
-    topology = getattr(args, "topology", None)
-    bounded = make_setup(args.scale, num_gpus=args.gpus, topology=topology,
-                         pipeline_depth=1)
-    unbounded = make_setup(args.scale, num_gpus=args.gpus,
-                           topology=topology)
-
-    def cell(result) -> dict:
-        summary = result.stats.summary("pipeline")
-        summary["frame_cycles"] = result.frame_cycles
-        summary["comp_overlap_cycles"] = round(
-            summary["comp_overlap_cycles"], 2)
-        summary["idle_cycles"] = round(summary["idle_cycles"], 2)
-        summary["pipeline_stall_cycles"] = round(
-            summary["pipeline_stall_cycles"], 2)
-        return summary
-
-    cells = []
-    mismatches = []
-    for bench in args.benchmarks:
-        trace = load_benchmark(bench, args.scale)
-        for scheme in schemes:
-            serial = run(scheme, trace, bounded)
-            overlapped = run(scheme, trace, unbounded)
-            identical = (
-                np.array_equal(serial.image.color, overlapped.image.color)
-                and np.array_equal(serial.image.depth,
-                                   overlapped.image.depth))
-            if not identical:
-                mismatches.append(f"{bench}/{scheme}")
-            cells.append({"benchmark": bench, "scheme": scheme,
-                          "depth_1": cell(serial),
-                          "unbounded": cell(overlapped)})
-
-    idle_serial = sum(c["depth_1"]["idle_cycles"] for c in cells)
-    idle_overlap = sum(c["unbounded"]["idle_cycles"] for c in cells)
-    idle_win = 1.0 - idle_overlap / idle_serial if idle_serial else 0.0
-    speedup = gmean([c["depth_1"]["frame_cycles"]
-                     / c["unbounded"]["frame_cycles"] for c in cells])
-    report = {
-        "benchmarks": list(args.benchmarks), "schemes": list(schemes),
-        "scale": args.scale, "num_gpus": args.gpus,
-        "idle_cycles_depth_1": round(idle_serial, 2),
-        "idle_cycles_unbounded": round(idle_overlap, 2),
-        "idle_win": round(idle_win, 4),
-        "frame_speedup": round(speedup, 4),
-        "bit_identical": not mismatches, "mismatches": mismatches,
-        "cells": cells,
-    }
-    with open(output, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"bench pipelining: {len(cells)} cells "
-          f"({len(args.benchmarks)} benchmarks x {len(schemes)} schemes, "
-          f"{args.gpus} GPUs, {args.scale} scale)")
-    print(f"  idle cycles: {idle_serial:14,.0f} at depth 1")
-    print(f"               {idle_overlap:14,.0f} unbounded "
-          f"({idle_win:.1%} win)")
-    print(f"  frame speedup (gmean): {speedup:.3f}x  -> {output}")
-    if mismatches:
-        print(f"error: pipeline window changed the image on "
-              f"{', '.join(mismatches)}", file=sys.stderr)
-        return EXIT_ERROR
-    if idle_win < args.min_overlap_win:
-        print(f"error: idle-cycle win {idle_win:.1%} below required "
-              f"{args.min_overlap_win:.1%}", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    import json
-    import time
-
-    import numpy as np
-
-    from .render import render_service
-
-    if args.mode == "pipelining":
-        return _cmd_bench_pipelining(args)
-    output = args.output or "BENCH_artifact_cache.json"
-    setup = make_setup(args.scale, num_gpus=args.gpus,
-                       topology=getattr(args, "topology", None),
-                       watchdog_cycles=getattr(args, "watchdog_cycles",
-                                               None))
-    service = render_service()
-
-    def sweep_once():
-        # use_cache=False bypasses the result namespace: the warm pass
-        # must genuinely re-simulate, reusing only the phase artifacts —
-        # otherwise "warm" would just hand back the stored SchemeResult.
-        cells = {}
-        for bench in args.benchmarks:
-            trace = load_benchmark(bench, args.scale)
-            for scheme in args.schemes:
-                cells[(bench, scheme)] = run(scheme, trace, setup,
-                                             use_cache=False)
-        return cells
-
-    service.reset()
-    before = service.counters()
-    started = time.perf_counter()
-    cold = sweep_once()
-    cold_s = time.perf_counter() - started
-    cold_delta = service.counters().delta(before)
-
-    if service.store.disk_dir is not None:
-        # force the warm pass through the disk-reload path
-        service.store.drop_memory()
-    before = service.counters()
-    started = time.perf_counter()
-    warm = sweep_once()
-    warm_s = time.perf_counter() - started
-    warm_delta = service.counters().delta(before)
-
-    mismatches = []
-    for key, cold_result in cold.items():
-        warm_result = warm[key]
-        identical = (
-            np.array_equal(cold_result.image.color, warm_result.image.color)
-            and np.array_equal(cold_result.image.depth,
-                               warm_result.image.depth)
-            and cold_result.frame_cycles == warm_result.frame_cycles
-            and cold_result.stats.total_triangles
-            == warm_result.stats.total_triangles
-            and cold_result.stats.total_fragments_shaded
-            == warm_result.stats.total_fragments_shaded
-            and cold_result.stats.total_fragments_passed
-            == warm_result.stats.total_fragments_passed)
-        if not identical:
-            mismatches.append("/".join(key))
-
-    speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-    report = {
-        "benchmarks": list(args.benchmarks), "schemes": list(args.schemes),
-        "scale": args.scale, "num_gpus": args.gpus,
-        "jobs": len(args.benchmarks) * len(args.schemes),
-        "cold_s": round(cold_s, 4), "warm_s": round(warm_s, 4),
-        "speedup": round(speedup, 3),
-        "bit_identical": not mismatches, "mismatches": mismatches,
-        "disk_tier": service.store.disk_dir is not None,
-        "cold_store": cold_delta.to_dict(),
-        "warm_store": warm_delta.to_dict(),
-    }
-    with open(output, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"bench: {report['jobs']} jobs "
-          f"({len(args.benchmarks)} benchmarks x "
-          f"{len(args.schemes)} schemes, {args.scale} scale)")
-    print(f"  cold : {cold_s:8.2f}s  "
-          f"(hit rate {cold_delta.hit_rate:5.1%})")
-    print(f"  warm : {warm_s:8.2f}s  "
-          f"(hit rate {warm_delta.hit_rate:5.1%}"
-          f"{', via disk' if report['disk_tier'] else ''})")
-    print(f"  speedup: {speedup:.2f}x  -> {output}")
-    if mismatches:
-        print(f"error: warm pass diverged from cold pass on "
-              f"{', '.join(mismatches)}", file=sys.stderr)
-        return EXIT_ERROR
-    if speedup < args.min_speedup:
-        print(f"error: warm speedup {speedup:.2f}x below required "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_OK
-
-
 def cmd_gen_trace(args) -> int:
     from .faults.traces import (TraceGenConfig, generate_trace,
                                 save_failure_trace)
@@ -1086,7 +860,6 @@ def cmd_lint(args) -> int:
 
 COMMANDS = {
     "render": cmd_render,
-    "bench": cmd_bench,
     "gen-trace": cmd_gen_trace,
     "soak": cmd_soak,
     "serve": cmd_serve,

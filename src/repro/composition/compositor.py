@@ -43,20 +43,9 @@ class SubImage:
                    depth=np.full((height, width), DEPTH_CLEAR, np.float32),
                    touched=np.zeros((height, width), dtype=bool))
 
-    @classmethod
-    def from_framebuffer(cls, fb: Framebuffer,
-                         touched: Optional[np.ndarray] = None) -> "SubImage":
-        if touched is None:
-            touched = fb.depth < DEPTH_CLEAR
-        return cls(color=fb.color.copy(), depth=fb.depth.copy(),
-                   touched=touched.copy())
-
     @property
     def shape(self) -> tuple:
         return self.depth.shape
-
-    def touched_pixel_count(self) -> int:
-        return int(self.touched.sum())
 
 
 def _check_shapes(images: Sequence[SubImage]) -> None:

@@ -221,10 +221,6 @@ class SystemConfig:
         )
         return replace(self, link=new)
 
-    def with_faults(self, faults: Optional[FaultPlan]) -> "SystemConfig":
-        """Copy of this config with a different fault plan (None = none)."""
-        return replace(self, faults=faults)
-
     def idealized(self) -> "SystemConfig":
         """Upper-bound variant: free links and unlimited buffering (Fig 5)."""
         return self.with_link(ideal=True, latency_cycles=0)

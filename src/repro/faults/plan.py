@@ -22,7 +22,7 @@ such a plan are indistinguishable from fault-free runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
@@ -187,9 +187,6 @@ class FaultPlan:
         if len(self.gpu_failures) >= num_gpus:
             raise ConfigError("fault plan kills every GPU; no survivors "
                               "could finish the frame")
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
 
 class FaultInjector:

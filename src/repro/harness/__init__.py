@@ -1,8 +1,7 @@
 """Experiment harness: engine, runner, experiments, reports, export."""
 
-from .runner import (MAIN_SCHEMES, SCHEMES, Setup, build_scheme,
-                     clear_result_cache, compare, make_setup, run,
-                     run_benchmark)
+from .runner import (MAIN_SCHEMES, SCHEMES, Setup, build_scheme, compare,
+                     make_setup, run, run_benchmark)
 from .animation import AnimationResult, compare_afr_sfr, run_animation
 from .engine import (Engine, EngineCounters, JobOutcome, JobSpec, Journal,
                      active_engine, benchmark_job, set_active_engine)
@@ -21,7 +20,6 @@ __all__ = [
     "active_engine",
     "benchmark_job",
     "build_scheme",
-    "clear_result_cache",
     "compare",
     "compare_afr_sfr",
     "engine",

@@ -265,13 +265,3 @@ def compare(benchmark: str, setup: Setup,
         result = run_benchmark(scheme, benchmark, setup)
         speedups[scheme] = base.frame_cycles / result.frame_cycles
     return speedups
-
-
-def clear_result_cache() -> None:
-    """Drop cached scheme results from the artifact store.
-
-    Kept for callers that want a targeted invalidation;
-    ``render_service().reset()`` clears every namespace at once.
-    """
-    from ..render import render_service
-    render_service().reset("result")

@@ -14,10 +14,9 @@ taxonomy and the paper's Fig 1(b) draw):
   subset-dependent (each GPU sees its own depth history) and stays live;
   it consumes an artifact instead of redoing the geometry math.
 
-:class:`DrawMetrics` and :class:`GroupMetrics` live here too (they are
-re-exported from :mod:`repro.raster.pipeline` for compatibility): they
-are the per-draw functional counts every timing model and paper figure
-is built from.
+:class:`DrawMetrics` and :class:`GroupMetrics` live here too: they are
+the per-draw functional counts every timing model and paper figure is
+built from.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ class DrawArtifact:
 
     Everything downstream of the geometry stage needs: screen-space
     triangles with interpolation attributes, the cull/clip counts the
-    metrics start from, and per-triangle screen bounds for tile binning.
+    metrics start from, and per-triangle screen bounds.
     Assignment-independent by construction — the same artifact serves
     every scheme, GPU count and draw subset at this resolution.
     """
@@ -123,28 +122,6 @@ class DrawArtifact:
         """In-memory footprint, for the store's byte-budget accounting."""
         return int(self.xy.nbytes + self.depth.nbytes + self.colors.nbytes
                    + self.bounds.nbytes + self.live.nbytes)
-
-    def tile_bins(self, tile_size: int) -> np.ndarray:
-        """Inclusive tile-index ranges (T, 4) as [tx0, ty0, tx1, ty1].
-
-        The binning is a pure function of the cached screen bounds, so
-        any tile size can be derived from one artifact — the store does
-        not need one entry per tile configuration.
-        """
-        if tile_size <= 0:
-            raise ValueError("tile_size must be positive")
-        bins = np.empty((self.num_triangles, 4), dtype=np.int64)
-        if self.num_triangles == 0:
-            return bins
-        bins[:, 0] = np.floor(self.bounds[:, 0] / tile_size)
-        bins[:, 1] = np.floor(self.bounds[:, 1] / tile_size)
-        bins[:, 2] = np.floor(
-            np.maximum(self.bounds[:, 2] - 1.0, self.bounds[:, 0])
-            / tile_size)
-        bins[:, 3] = np.floor(
-            np.maximum(self.bounds[:, 3] - 1.0, self.bounds[:, 1])
-            / tile_size)
-        return np.maximum(bins, 0)
 
 
 def empty_artifact(triangles_submitted: int,

@@ -16,7 +16,8 @@ The LRU bounds both entry count and payload bytes. With ``disk_dir``
 set, entries are written through as pickles named by their key, and a
 memory miss falls back to a disk load — that is how pre-warmed artifacts
 survive process boundaries (engine worker subprocesses, separate CLI
-invocations) and how ``repro bench`` proves a reload is bit-identical.
+invocations); ``tests/test_render_service.py`` pins that a reload is
+bit-identical.
 
 Spill files are integrity-framed: a magic line and the sha256 of the
 pickle payload precede the payload, writes go through a temp file +
@@ -239,8 +240,8 @@ class ArtifactStore:
     def drop_memory(self) -> None:
         """Flush the memory tier only (spilled entries stay on disk).
 
-        Lets the bench and the determinism tests force the next lookups
-        through the disk-reload path without losing the warm state.
+        Forces the next lookups through the disk-reload path without
+        losing the warm state.
         """
         self._entries.clear()
         self.current_bytes = 0

@@ -69,26 +69,6 @@ class TestCommands:
         assert "2 GPUs" in capsys.readouterr().out
 
 
-class TestBenchCommand:
-    @pytest.mark.parametrize("mode, output, written", [
-        ("cache", None, "BENCH_artifact_cache.json"),
-        ("pipelining", None, "BENCH_pipelining.json"),
-        # an explicit --output is honoured even when it names the other
-        # mode's default file
-        ("cache", "BENCH_pipelining.json", "BENCH_pipelining.json"),
-        ("pipelining", "BENCH_artifact_cache.json",
-         "BENCH_artifact_cache.json")])
-    def test_report_path(self, mode, output, written, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        argv = ["bench", "--mode", mode, "--gpus", "2",
-                "--benchmarks", "wolf", "--schemes", "duplication",
-                "--min-speedup", "0"]
-        if output is not None:
-            argv += ["--output", output]
-        assert main(argv) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == [written]
-
-
 class TestTimelineCommand:
     def test_timeline_renders_gantt(self, capsys):
         assert main(["timeline", "wolf", "--gpus", "2",

@@ -7,7 +7,7 @@ from repro.harness import (MAIN_SCHEMES, SCHEMES, build_scheme, compare,
                            make_setup, run_benchmark)
 from repro.harness import experiments as E
 from repro.harness import report as R
-from repro.harness.runner import clear_result_cache
+from repro.render import render_service
 
 SUBSET = ("cod2",)
 
@@ -49,7 +49,7 @@ class TestSetup:
 
 class TestRunner:
     def test_run_cached(self):
-        clear_result_cache()
+        render_service().reset("result")
         setup = make_setup("tiny")
         first = run_benchmark("duplication", "cod2", setup)
         second = run_benchmark("duplication", "cod2", setup)

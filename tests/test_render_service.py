@@ -87,31 +87,49 @@ class TestStoreLRU:
         assert store.counters.hit_rate == 0.5
 
 
+#: (benchmark, scheme) cells the cold/warm parity must hold on: besides
+#: geometry, gpupd also reuses its projection artifact and chopin+sched its
+#: functional prep; wolf is the smallest trace, cod2 a larger one
+PARITY_CELLS = [(bench, scheme) for bench in ("wolf", "cod2")
+                for scheme in ("duplication", "gpupd", "chopin+sched")]
+
+
 class TestColdWarmParity:
     def test_warm_run_bit_identical(self, fresh_service):
         setup = make_setup("tiny", num_gpus=4)
-        trace = load_benchmark("wolf", "tiny")
-        cold = run("chopin+sched", trace, setup, use_cache=False)
-        cold_misses = fresh_service.counters().misses
-        assert cold.stats.artifact_misses > 0  # stamped on the result
-        warm = run("chopin+sched", trace, setup, use_cache=False)
-        _assert_results_match(cold, warm)
-        assert warm.stats.artifact_hits > 0
-        # the warm pass recomputed no phase artifacts
-        assert fresh_service.counters().misses == cold_misses
+        for bench, scheme in PARITY_CELLS:
+            fresh_service.reset()
+            trace = load_benchmark(bench, "tiny")
+            cold = run(scheme, trace, setup, use_cache=False)
+            cold_misses = fresh_service.counters().misses
+            # stamped on the result
+            assert cold.stats.artifact_misses > 0, (bench, scheme)
+            warm = run(scheme, trace, setup, use_cache=False)
+            _assert_results_match(cold, warm)
+            assert warm.stats.artifact_hits > 0, (bench, scheme)
+            # the warm pass recomputed no phase artifacts
+            assert fresh_service.counters().misses == cold_misses, \
+                (bench, scheme)
 
     def test_disk_spill_reload_bit_identical(self, fresh_service, tmp_path):
         fresh_service.store.attach_disk(str(tmp_path / "store"))
         setup = make_setup("tiny", num_gpus=4)
-        trace = load_benchmark("wolf", "tiny")
-        cold = run("chopin+sched", trace, setup, use_cache=False)
-        assert fresh_service.counters().disk_writes > 0
-        # flush memory: the reload must reconstruct artifacts from pickles
-        fresh_service.store.drop_memory()
-        reloaded = run("chopin+sched", trace, setup, use_cache=False)
-        _assert_results_match(cold, reloaded)
-        assert fresh_service.counters().disk_loads > 0
-        assert reloaded.stats.artifact_disk_loads > 0
+        for bench, scheme in PARITY_CELLS:
+            fresh_service.reset()  # both tiers: this cell starts cold
+            trace = load_benchmark(bench, "tiny")
+            before = fresh_service.counters()
+            cold = run(scheme, trace, setup, use_cache=False)
+            assert fresh_service.counters().delta(before).disk_writes > 0, \
+                (bench, scheme)
+            # flush memory: the reload must reconstruct artifacts from
+            # pickles
+            fresh_service.store.drop_memory()
+            before = fresh_service.counters()
+            reloaded = run(scheme, trace, setup, use_cache=False)
+            _assert_results_match(cold, reloaded)
+            assert fresh_service.counters().delta(before).disk_loads > 0, \
+                (bench, scheme)
+            assert reloaded.stats.artifact_disk_loads > 0, (bench, scheme)
 
     def test_reset_forces_recompute(self, fresh_service):
         setup = make_setup("tiny", num_gpus=4)
