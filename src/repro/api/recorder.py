@@ -69,9 +69,6 @@ class CommandRecorder:
             blend_op=self._state.blend_op,
             early_z=self._state.early_z)
 
-    def set_depth_write(self, enabled: bool) -> None:
-        self._replace(depth_write=enabled)
-
     def set_depth_func(self, func: DepthFunc) -> None:
         self._replace(depth_func=func)
 
@@ -79,9 +76,6 @@ class CommandRecorder:
         self._replace(blend_op=op)
         if op is not BlendOp.REPLACE:
             self._replace(depth_write=False)
-
-    def set_early_z(self, enabled: bool) -> None:
-        self._replace(early_z=enabled)
 
     def _replace(self, **kwargs) -> None:
         from dataclasses import replace

@@ -22,10 +22,12 @@ eligible, since transparent sub-images cannot be composed fully
 out-of-order (§II-D).
 
 As in the paper, SentGPUs and ReceivedGPUs are bit vectors (``int``
-masks, bit ``g`` = GPU ``g``). The scheduler keeps four more masks as
+masks, bit ``g`` = GPU ``g``). The scheduler keeps more masks as
 indexes over the table: each open group's partner masks, the excluded
-GPUs, the Sending GPUs, and per CGID the Ready rows on it. The eligible
-senders of a receiver are then one AND::
+GPUs, the Sending GPUs, per CGID the Ready rows on it, and each row's
+partner mask in its current group (cached, and recomputed by every call
+that can change it). The eligible senders of a receiver are then one
+AND::
 
     partners & ready[cgid] & ~sending & ~received
 
@@ -48,20 +50,39 @@ row onto one CGID).
 
 The scheduler is a passive table; the DES layer drives it through
 ``mark_ready`` / ``begin`` / ``complete`` and waits on ``wait_pair(gpu)``.
-Each table change schedules *one* zero-delay re-check for all waiters.
-It visits them in the order they started waiting and wakes, in place,
-only those whose GPU can make progress (a sender is free, or it is
-done); the rest stay waiting, in the same list positions a woken waiter
-would have taken by waiting again. That is the order and outcome of
-waking every waiter with its own event: those events would sit next to
-each other in the queue, and a waiter that can only wait again changes
-no table state, counter or sanitizer record in between.
+A pair whose sender has no pixels for the receiver moves nothing, so
+:meth:`~ImageCompositionScheduler.pair_empty_prefix` settles, in one
+mask update, every eligible empty sender below the receiver's lowest
+eligible non-empty one: the begin/complete calls a per-pair loop would
+make back to back, with nothing else running between them. The GPU's
+own process then starts a pull only for a sender with pixels.
+
+Each table change that can unblock a waiter schedules *one* zero-delay
+re-check of everyone then waiting. Two masks, accumulated from a
+waiter's last check until its re-check runs, say what changed: rows
+whose own state changed (their Ready/Receiving flags, Sent/Received
+vectors or partner mask, which decide :meth:`gpu_done`) and GPUs that
+became ready or free as senders. A waiter is re-checked only if its row
+changed or a new sender is one it still needs (in its cached partner
+mask, not yet received); any other waiter stays blocked, since nothing
+its wait depends on moved. The re-check visits waiters in the order
+they started waiting and settles a checked waiter's empty pairs itself;
+it wakes, in place, only the waiters that can now pull from a sender
+with pixels or are done, so a woken process resumes only to start that
+pull or to finish. Everyone else stays waiting, in the list position a
+woken waiter would have taken by waiting again. That is the order and
+outcome of waking every waiter with its own event: those events would
+sit next to each other in the queue, and a waiter that can only settle
+empty pairs and wait again makes the same table changes in the same
+order either way.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Deque, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 
 from ..analysis.sanitizer import ACCESS_ARBITRATED
 from ..errors import SchedulingError
@@ -141,8 +162,22 @@ class ImageCompositionScheduler:
         self._ready: Dict[int, int] = {}
         #: high-water mark of concurrently open groups (for RunStats)
         self.groups_peak = 0
-        #: (gpu, event) of every wait_pair still pending, in wait order
-        self._waiters: List[Tuple[int, Event]] = []
+        #: each row's partner mask in its current group (see _partner_mask)
+        self._row_partners = list(self._all_to_all)
+        #: (gpu, event, empty senders) of every wait_pair still pending,
+        #: in wait order
+        self._waiters: List[Tuple[int, Event, int]] = []
+        #: rows changed and new senders since the ``_waiters`` were checked
+        self._rows_changed = 0
+        self._new_senders = 0
+        #: per re-check scheduled and not yet finished, oldest first: the
+        #: two masks from its waiters' last checks until the next one was
+        #: scheduled (the last: until now)
+        self._segments: Deque[List[int]] = deque()
+        #: the segments ORed: what the oldest re-check's waiters have not
+        #: seen
+        self._recheck_rows = 0
+        self._recheck_senders = 0
 
     def _record_table_access(self) -> None:
         """Report a scheduler-table mutation to the race sanitizer.
@@ -162,6 +197,32 @@ class ImageCompositionScheduler:
             if not 0 <= gpu < self.num_gpus:
                 raise SchedulingError(f"unknown partner GPU{gpu}")
             mask |= 1 << gpu
+        return mask
+
+    def _changed(self, rows: int, senders: int = 0) -> None:
+        """Note a table change for every waiter that has not seen it."""
+        self._rows_changed |= rows
+        self._new_senders |= senders
+        if self._segments:
+            tail = self._segments[-1]
+            tail[0] |= rows
+            tail[1] |= senders
+            self._recheck_rows |= rows
+            self._recheck_senders |= senders
+
+    def _refresh_partners(self, rows: int) -> None:
+        """Recompute the cached partner masks of ``rows``; their waiters
+        are re-checked at the next re-check."""
+        cache = self._row_partners
+        for gpu in _members(rows):
+            cache[gpu] = self._partner_mask(gpu)
+        self._changed(rows)
+
+    def _rows_on(self, cgid: int) -> int:
+        mask = 0
+        for gpu, row in enumerate(self.table):
+            if row.cgid == cgid:
+                mask |= 1 << gpu
         return mask
 
     # -- group window --------------------------------------------------------
@@ -189,6 +250,7 @@ class ImageCompositionScheduler:
         self._partners[cgid] = masks
         if len(self._open) > self.groups_peak:
             self.groups_peak = len(self._open)
+        self._refresh_partners(self._rows_on(cgid))
 
     def retire_group(self, cgid: int) -> None:
         """Close a finished group, freeing its window slot.
@@ -200,6 +262,7 @@ class ImageCompositionScheduler:
             raise SchedulingError(f"group {cgid} is not in flight")
         self._open.remove(cgid)
         del self._partners[cgid]
+        self._refresh_partners(self._rows_on(cgid))
 
     def advance(self, gpu: int, cgid: int) -> None:
         """Move one GPU's row to an open group, *fully* resetting it.
@@ -226,6 +289,8 @@ class ImageCompositionScheduler:
         self._sending &= ~bit
         row.reset()
         row.cgid = cgid
+        self._row_partners[gpu] = self._partner_mask(gpu)
+        self._changed(bit)
 
     def in_flight(self) -> Tuple[int, ...]:
         """Currently open CGIDs, in admission order."""
@@ -245,6 +310,7 @@ class ImageCompositionScheduler:
             row.cgid = cgid
         self._sending = 0
         self._ready.clear()
+        self._refresh_partners((1 << self.num_gpus) - 1)
 
     def mark_ready(self, gpu: int) -> None:
         """GPU finished its draws and generated its sub-image (Fig 12 step 1)."""
@@ -253,11 +319,14 @@ class ImageCompositionScheduler:
             raise SchedulingError(f"GPU{gpu} marked ready twice")
         self._record_table_access()
         row.ready = True
-        self._ready[row.cgid] = self._ready.get(row.cgid, 0) | (1 << gpu)
+        bit = 1 << gpu
+        self._ready[row.cgid] = self._ready.get(row.cgid, 0) | bit
+        self._changed(bit, bit)
         self._notify()
 
     def _partner_mask(self, gpu: int) -> int:
-        """Partner mask of this GPU *in its row's current group*."""
+        """Partner mask of this GPU *in its row's current group*; cached
+        per row in ``_row_partners`` by every call that can change it."""
         if self._excluded >> gpu & 1:
             return 0
         masks = self._partners.get(self.table[gpu].cgid)
@@ -266,20 +335,60 @@ class ImageCompositionScheduler:
 
     def partners_of(self, gpu: int) -> Set[int]:
         """Partner set of this GPU *in its row's current group*."""
-        return set(_members(self._partner_mask(gpu)))
+        return set(_members(self._row_partners[gpu]))
+
+    def _eligible(self, receiver: int) -> int:
+        """Senders this receiver may compose with now (Fig 12 conditions)."""
+        row = self.table[receiver]
+        if not row.ready or row.receiving:
+            return 0
+        return (self._row_partners[receiver]
+                & self._ready.get(row.cgid, 0)
+                & ~self._sending & ~row.received_mask)
 
     def find_sender_for(self, receiver: int) -> Optional[int]:
         """A sender this receiver may compose with now (Fig 12 conditions):
         the lowest-numbered eligible partner."""
-        row = self.table[receiver]
-        if not row.ready or row.receiving:
-            return None
-        eligible = (self._partner_mask(receiver)
-                    & self._ready.get(row.cgid, 0)
-                    & ~self._sending & ~row.received_mask)
+        eligible = self._eligible(receiver)
         if not eligible:
             return None
         return (eligible & -eligible).bit_length() - 1
+
+    def pair_empty_prefix(self, receiver: int, empty: int) -> Optional[int]:
+        """Compose ``receiver`` with its eligible senders that have no
+        pixels for it (bits of ``empty``), up to the first that has some.
+
+        Ascending from the lowest eligible sender, every sender in
+        ``empty`` is paired and completed at once, as :meth:`begin` and
+        :meth:`complete` back to back would; it stops below the lowest
+        eligible sender outside ``empty``, which it returns (``None`` if
+        there is none). One re-check is scheduled, as the first of those
+        completions would schedule it.
+        """
+        eligible = self._eligible(receiver)
+        full = eligible & ~empty
+        prefix = eligible & empty
+        if full:
+            low = full & -full
+            prefix &= low - 1
+            sender = low.bit_length() - 1
+        else:
+            sender = None
+        if prefix:
+            sim = self.sim
+            if sim is not None and sim.sanitizer is not None:
+                for _ in range(2 * bin(prefix).count("1")):
+                    sim.record_access("scheduler:table", ACCESS_ARBITRATED)
+            table = self.table
+            table[receiver].received_mask |= prefix
+            bit = 1 << receiver
+            self._changed(prefix | bit)
+            while prefix:
+                low = prefix & -prefix
+                table[low.bit_length() - 1].sent_mask |= bit
+                prefix ^= low
+            self._notify()
+        return sender
 
     def begin(self, sender: int, receiver: int) -> None:
         """Claim the pair: set Sending/Receiving (Fig 12 step 4)."""
@@ -301,9 +410,11 @@ class ImageCompositionScheduler:
         self._record_table_access()
         s.sending = False
         r.receiving = False
-        self._sending &= ~(1 << sender)
+        bit = 1 << sender
+        self._sending &= ~bit
         s.sent_mask |= 1 << receiver
-        r.received_mask |= 1 << sender
+        r.received_mask |= bit
+        self._changed(bit | 1 << receiver, bit)
         self._notify()
 
     def exclude_gpu(self, gpu: int) -> None:
@@ -312,12 +423,14 @@ class ImageCompositionScheduler:
         The exclusion spans *every* in-flight group — a dead GPU is dead for
         the whole window. Its row keeps whatever state it had, but no
         survivor will be paired with it any more and its own partner set
-        empties, so :meth:`gpu_done` holds for it trivially.
+        empties, so :meth:`gpu_done` holds for it trivially. Every
+        partner mask may shrink, so every waiter is re-checked.
         """
         if not 0 <= gpu < self.num_gpus:
             raise SchedulingError(f"cannot exclude unknown GPU{gpu}")
         self._record_table_access()
         self._excluded |= 1 << gpu
+        self._refresh_partners((1 << self.num_gpus) - 1)
         self._notify()
 
     def extend_partners(self, gpu: int, partners: Set[int]) -> None:
@@ -327,6 +440,7 @@ class ImageCompositionScheduler:
         if masks is None:
             return
         masks[gpu] = self._mask_of(partners)
+        self._refresh_partners(1 << gpu)
         self._notify()
 
     # -- completion tests ----------------------------------------------------
@@ -334,7 +448,7 @@ class ImageCompositionScheduler:
     def gpu_done(self, gpu: int) -> bool:
         """All sends and receives for this GPU's partner set finished."""
         row = self.table[gpu]
-        return not (self._partner_mask(gpu)
+        return not (self._row_partners[gpu]
                     & ~(row.sent_mask & row.received_mask))
 
     def all_done(self) -> bool:
@@ -342,31 +456,64 @@ class ImageCompositionScheduler:
 
     # -- DES integration -----------------------------------------------------
 
-    def wait_pair(self, gpu: int) -> Event:
+    def wait_pair(self, gpu: int, empty: int = 0) -> Event:
         """Event fired once ``gpu`` can make progress after a table change:
-        :meth:`find_sender_for` offers it a sender, or :meth:`gpu_done`."""
+        it is done, or, once the re-check has paired it with its eligible
+        senders in ``empty`` (:meth:`pair_empty_prefix`), it has an
+        eligible sender with pixels."""
         if self.sim is None:
             raise SchedulingError("scheduler built without a simulator")
+        if not self._waiters:
+            self._rows_changed = self._new_senders = 0
         event = Event(self.sim)
-        self._waiters.append((gpu, event))
+        self._waiters.append((gpu, event, empty))
         return event
 
     def _notify(self) -> None:
         """Schedule one re-check of everyone waiting at this change."""
-        if not self._waiters:
+        waiters = self._waiters
+        if not waiters:
             return
-        waiters, self._waiters = self._waiters, []
+        self._waiters = []
+        self._segments.append([self._rows_changed, self._new_senders])
+        self._recheck_rows |= self._rows_changed
+        self._recheck_senders |= self._new_senders
+        self._rows_changed = self._new_senders = 0
         recheck = Event(self.sim)
         recheck.callbacks.append(lambda _: self._recheck(waiters))
         recheck.succeed()
 
-    def _recheck(self, waiters: List[Tuple[int, Event]]) -> None:
+    def _recheck(self, waiters: List[Tuple[int, Event, int]]) -> None:
+        """Wake the waiters that can progress; keep the rest waiting.
+
+        It runs as the oldest pending re-check, so the ORed segments
+        hold every change since its waiters' last checks. A woken
+        waiter's process runs at once and may change the table; that
+        lands in the masks too, for the waiters after it, and entries
+        kept after it go to the ``_waiters`` list then current.
+        """
+        table, partners, ready = self.table, self._row_partners, self._ready
         for entry in waiters:
-            gpu, event = entry
-            if self.gpu_done(gpu) or self.find_sender_for(gpu) is not None:
-                event.succeed_now()
+            gpu = entry[0]
+            row = table[gpu]
+            # Unless its row changed, a waiter can progress only through
+            # a new sender it may pull from now.
+            if ((self._recheck_rows >> gpu & 1
+                 or self._recheck_senders & partners[gpu]
+                 & ~row.received_mask & ready.get(row.cgid, 0)
+                 & ~self._sending)
+                    and (self.pair_empty_prefix(gpu, entry[2]) is not None
+                         or self.gpu_done(gpu))):
+                entry[1].succeed_now()
             else:
                 self._waiters.append(entry)
+        segments = self._segments
+        segments.popleft()
+        rows = senders = 0
+        for segment in segments:
+            rows |= segment[0]
+            senders |= segment[1]
+        self._recheck_rows, self._recheck_senders = rows, senders
 
     # -- hardware accounting ---------------------------------------------------
 

@@ -174,36 +174,45 @@ class ReadyIdlePairing(Transport):
             alive - {g} if g in alive else set()
             for g in range(self.num_gpus)])
         self.stats.scheduler_groups_peak = self.sched.groups_peak
-        self.groups[gi] = (cgid, view.region_pixels)
+        # per receiver, the senders with no pixels for it (bit s = GPU s)
+        empty = np.packbits(view.region_pixels.T == 0, axis=1,
+                            bitorder="little")
+        self.groups[gi] = (cgid, view.region_pixels,
+                           [int.from_bytes(row.tobytes(), "little")
+                            for row in empty])
         self.remaining[cgid] = len(alive)
 
     def compose(self, gpu: int, gi: int) -> Generator:
         sched, sim = self.sched, self.sim
-        cgid, matrix = self.groups[gi]
+        cgid, matrix, empty_masks = self.groups[gi]
+        empty = empty_masks[gpu]
         sched.advance(gpu, cgid)
         sched.mark_ready(gpu)
         in_flight = []
-        while not sched.gpu_done(gpu):
-            sender = sched.find_sender_for(gpu)
+        while True:
+            # pairs with nothing to send settle in the table; the re-check
+            # settles them too, and wakes this GPU only to pull or finish
+            sender = sched.pair_empty_prefix(gpu, empty)
             if sender is None:
-                yield sched.wait_pair(gpu)
+                if sched.gpu_done(gpu):
+                    break
+                yield sched.wait_pair(gpu, empty)
                 continue
             sched.begin(sender, gpu)
+            # Pull the sub-image; free the pair for new matches as soon as
+            # the ports drain (the message tail — latency + ROP composition
+            # — pipelines with the next pull).
             pixels = int(matrix[sender, gpu]) * self.samples
-            if pixels:
-                # Pull the sub-image; free the pair for new matches as soon
-                # as the ports drain (the message tail — latency + ROP
-                # composition — pipelines with the next pull).
-                released = PortsReleased(sim)
-                compose_cycles = self.costs.compose_cycles(pixels)
-                transfer = self.interconnect.transfer(
-                    sender, gpu, pixels * self.pixel_bytes,
-                    TRAFFIC_COMPOSITION, receive_cycles=compose_cycles,
-                    ports_released=released)
-                released.transfer = transfer
-                in_flight.append(transfer)
-                self.stats.add_cycles(gpu, STAGE_COMPOSITION, compose_cycles)
-                yield released
+            released = PortsReleased(sim)
+            compose_cycles = self.costs.compose_cycles(pixels)
+            transfer = self.interconnect.transfer(
+                sender, gpu, pixels * self.pixel_bytes,
+                TRAFFIC_COMPOSITION, receive_cycles=compose_cycles,
+                ports_released=released)
+            released.transfer = transfer
+            in_flight.append(transfer)
+            self.stats.add_cycles(gpu, STAGE_COMPOSITION, compose_cycles)
+            yield released
             sched.complete(sender, gpu)
         if in_flight:
             yield sim.all_of(in_flight)

@@ -66,7 +66,8 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.sim._schedule(self, delay=0.0)
+        # due now: straight onto the zero-delay lane (see Simulator)
+        self.sim._lane.append(self)
         return self
 
     def succeed_now(self, value: Any = None) -> None:
@@ -98,10 +99,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # Event.__init__ inlined: one Timeout per DES step is common
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
         self._triggered = True
-        sim._schedule(self, delay=delay)
+        self._processed = False
+        self.delay = delay
+        sim._schedule(self, delay)
 
 
 class AllOf(Event):
@@ -330,7 +335,11 @@ class Simulator:
             if time < self.now:
                 raise SimulationError("event scheduled in the past")
             self.now = time
-        event._run_callbacks()
+        # Event._run_callbacks inlined: this runs once per event
+        event._processed = True
+        callbacks, event.callbacks = event.callbacks, []
+        for callback in callbacks:
+            callback(event)
 
     def run(self, until: Optional[float] = None,
             watchdog: bool = True) -> float:

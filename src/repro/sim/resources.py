@@ -38,7 +38,12 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
+        # Event.__init__ inlined: one Request per port claim
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = None
+        self._triggered = False
+        self._processed = False
         self.resource = resource
 
 
@@ -59,13 +64,10 @@ class Resource:
         """Number of currently granted requests."""
         return len(self._users)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
     def request(self) -> Request:
         """Claim one unit; the returned event triggers once granted."""
-        _arbitrated(self)
+        if self.sim.sanitizer is not None:
+            _arbitrated(self)
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.append(req)
@@ -76,7 +78,8 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return a previously granted unit."""
-        _arbitrated(self)
+        if self.sim.sanitizer is not None:
+            _arbitrated(self)
         try:
             self._users.remove(request)
         except ValueError:

@@ -1,19 +1,28 @@
-"""The set-based composition scheduler table, kept as the oracle for the
-bit-vector one.
+"""Oracles for the composition scheduler (Table I and its re-check).
 
 ``SetScheduler`` is the Table I of :mod:`repro.core.composition_scheduler`
 as it was before SentGPUs/ReceivedGPUs became bit vectors: rows hold
 Python sets, ``find_sender_for`` scans the receiver's partners in sorted
-order and ``gpu_done`` is a set-superset test. It keeps only the table:
-no simulator, no waiters, no sanitizer records. Tests drive it and the
-production scheduler with the same calls and require the same answers.
+order and ``gpu_done`` is a set-superset test. Its ``pair_empty_prefix``
+is the per-pair loop the production method replaced: ``begin`` and
+``complete`` for each lowest eligible sender with no pixels. It keeps
+only the table: no simulator, no waiters, no sanitizer records. Tests
+drive it and the production scheduler with the same calls and require
+the same answers.
+
+``FullScanScheduler`` is the production scheduler with a re-check that
+checks every waiter, skipping none; ``PollingScheduler`` also wakes every
+waiter that has any eligible sender, empty or not, as the re-check did
+when each receiver's process paired its empty senders one by one
+(:func:`per_pair_receiver`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Generator, List, Optional, Set
 
+from repro.core import ImageCompositionScheduler
 from repro.errors import SchedulingError
 
 
@@ -144,3 +153,55 @@ class SetScheduler:
         row = self.table[gpu]
         partners = self.partners_of(gpu)
         return (row.sent_gpus >= partners and row.received_gpus >= partners)
+
+    def pair_empty_prefix(self, receiver: int, empty: int) -> Optional[int]:
+        while True:
+            sender = self.find_sender_for(receiver)
+            if sender is None or not empty >> sender & 1:
+                return sender
+            self.begin(sender, receiver)
+            self.complete(sender, receiver)
+
+
+class FullScanScheduler(ImageCompositionScheduler):
+    """The re-check without skipping: every waiter is checked."""
+
+    def _recheck(self, waiters) -> None:
+        for entry in waiters:
+            gpu, event, empty = entry
+            if (self.pair_empty_prefix(gpu, empty) is not None
+                    or self.gpu_done(gpu)):
+                event.succeed_now()
+            else:
+                self._waiters.append(entry)
+        self._segments.popleft()
+
+
+class PollingScheduler(ImageCompositionScheduler):
+    """The full-scan re-check that wakes a waiter for any eligible
+    sender, leaving its empty pairs to its own process."""
+
+    def _recheck(self, waiters) -> None:
+        for entry in waiters:
+            gpu, event, _ = entry
+            if self.gpu_done(gpu) or self.find_sender_for(gpu) is not None:
+                event.succeed_now()
+            else:
+                self._waiters.append(entry)
+        self._segments.popleft()
+
+
+def per_pair_receiver(sched: ImageCompositionScheduler, gpu: int,
+                      empty: int, pull) -> Generator:
+    """A receiver's pairing loop as it was before empty pairs settled in
+    one step: ``begin``/``complete`` per pair, a ``pull(sender)`` event
+    waited on between them only for a sender with pixels."""
+    while not sched.gpu_done(gpu):
+        sender = sched.find_sender_for(gpu)
+        if sender is None:
+            yield sched.wait_pair(gpu)
+            continue
+        sched.begin(sender, gpu)
+        if not empty >> sender & 1:
+            yield pull(sender)
+        sched.complete(sender, gpu)

@@ -6,6 +6,12 @@ every event, due now or later, goes through one ``(time, sequence)``
 heap. Events, processes, combinators and resources are the production
 ones; only the queue differs, so tests that run the same program on
 both kernels compare the lane against plain heap order.
+
+Production code reaches the queue two ways: ``Simulator._schedule`` (a
+``Timeout``) and a straight append to ``Simulator._lane`` (``Event.succeed``
+puts an event due now there without a call). The oracle replaces both:
+its ``_schedule`` pushes onto the heap, and its ``_lane`` is a
+:class:`HeapLane` whose ``append`` does the same at delay 0.
 """
 
 from __future__ import annotations
@@ -17,8 +23,25 @@ from repro.errors import SimulationError, WatchdogError
 from repro.sim import Event, Simulator
 
 
+class HeapLane:
+    """Stands in for the lane: an event due now goes onto the heap."""
+
+    def __init__(self, sim: "HeapSimulator") -> None:
+        self.sim = sim
+
+    def append(self, event: Event) -> None:
+        self.sim._schedule(event, 0.0)
+
+    def __len__(self) -> int:
+        return 0
+
+
 class HeapSimulator(Simulator):
     """Every event in one heap of ``(time, sequence, event)`` entries."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._lane = HeapLane(self)
 
     def _schedule(self, event: Event, delay: float) -> None:
         heapq.heappush(self._queue, (self.now + delay, self._sequence, event))
