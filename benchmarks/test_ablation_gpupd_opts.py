@@ -10,24 +10,20 @@ from repro.harness import report as R
 from repro.sfr import GPUpd
 from repro.traces import load_benchmark
 
-from conftest import emit, run_once
+from conftest import emit
 
 
-def test_ablation_gpupd_optimizations(benchmark, reports_dir):
-    def experiment():
-        setup = make_setup("tiny", num_gpus=8)
-        trace = load_benchmark("cod2", "tiny")
-        table = {}
-        for batch in (4, 32, 256):
-            for runahead in (False, True):
-                scheme = GPUpd(setup.config, setup.costs,
-                               batch_primitives=batch, runahead=runahead)
-                cycles = scheme.run(trace).frame_cycles
-                label = f"batch {batch}{'+runahead' if runahead else ''}"
-                table[label] = {"frame cycles": round(cycles)}
-        return table
-
-    table = run_once(benchmark, experiment)
+def test_ablation_gpupd_optimizations():
+    setup = make_setup("tiny", num_gpus=8)
+    trace = load_benchmark("cod2", "tiny")
+    table = {}
+    for batch in (4, 32, 256):
+        for runahead in (False, True):
+            scheme = GPUpd(setup.config, setup.costs,
+                           batch_primitives=batch, runahead=runahead)
+            cycles = scheme.run(trace).frame_cycles
+            label = f"batch {batch}{'+runahead' if runahead else ''}"
+            table[label] = {"frame cycles": round(cycles)}
     # runahead always helps (or at least never hurts) at fixed batch size
     for batch in (4, 32, 256):
         plain = table[f"batch {batch}"]["frame cycles"]
@@ -36,7 +32,7 @@ def test_ablation_gpupd_optimizations(benchmark, reports_dir):
     # tiny batches pay many sequential turns
     assert table["batch 4+runahead"]["frame cycles"] \
         > table["batch 256+runahead"]["frame cycles"]
-    emit(reports_dir, "ablation_gpupd_opts",
+    emit("ablation_gpupd_opts",
          R.render_keyed_matrix(table, "config",
                                "Ablation: GPUpd batching + runahead "
                                "(cod2, 8 GPUs)"))

@@ -13,52 +13,44 @@ Two knobs the paper's Table II fixes, swept:
 from repro.harness import make_setup, run_benchmark
 from repro.harness import report as R
 
-from conftest import emit, run_once
+from conftest import emit
 
 
-def test_ablation_memory_bandwidth(benchmark, reports_dir):
-    def experiment():
-        table = {}
-        for dram in (2000, 50, 20, 5):
-            setup = make_setup("tiny", num_gpus=8, model_memory=True,
-                               dram_gb_per_s=dram)
-            dup = run_benchmark("duplication", "cod2", setup)
-            chopin = run_benchmark("chopin+sched", "cod2", setup)
-            table[f"{dram} GB/s"] = {
-                "dup cycles": round(dup.frame_cycles),
-                "chopin cycles": round(chopin.frame_cycles),
-                "chopin speedup": dup.frame_cycles / chopin.frame_cycles,
-            }
-        return table
-
-    table = run_once(benchmark, experiment)
+def test_ablation_memory_bandwidth():
+    table = {}
+    for dram in (2000, 50, 20, 5):
+        setup = make_setup("tiny", num_gpus=8, model_memory=True,
+                           dram_gb_per_s=dram)
+        dup = run_benchmark("duplication", "cod2", setup)
+        chopin = run_benchmark("chopin+sched", "cod2", setup)
+        table[f"{dram} GB/s"] = {
+            "dup cycles": round(dup.frame_cycles),
+            "chopin cycles": round(chopin.frame_cycles),
+            "chopin speedup": dup.frame_cycles / chopin.frame_cycles,
+        }
     speedups = [table[k]["chopin speedup"] for k in table]
     assert speedups[0] > speedups[-1], \
         "bandwidth starvation must erode CHOPIN's advantage"
-    emit(reports_dir, "ablation_memory_bandwidth",
+    emit("ablation_memory_bandwidth",
          R.render_keyed_matrix(table, "DRAM", "Ablation: DRAM-bandwidth "
                                "roofline (cod2, 8 GPUs)"))
 
 
-def test_ablation_msaa(benchmark, reports_dir):
-    def experiment():
-        table = {}
-        for samples in (1, 2, 4):
-            setup = make_setup("tiny", num_gpus=8, msaa_samples=samples)
-            dup = run_benchmark("duplication", "grid", setup)
-            chopin = run_benchmark("chopin+sched", "grid", setup)
-            table[f"{samples}x"] = {
-                "dup cycles": round(dup.frame_cycles),
-                "chopin cycles": round(chopin.frame_cycles),
-                "chopin speedup": dup.frame_cycles / chopin.frame_cycles,
-                "comp MB": round(chopin.stats.traffic_total(
-                    "composition") / 1e6, 1),
-            }
-        return table
-
-    table = run_once(benchmark, experiment)
+def test_ablation_msaa():
+    table = {}
+    for samples in (1, 2, 4):
+        setup = make_setup("tiny", num_gpus=8, msaa_samples=samples)
+        dup = run_benchmark("duplication", "grid", setup)
+        chopin = run_benchmark("chopin+sched", "grid", setup)
+        table[f"{samples}x"] = {
+            "dup cycles": round(dup.frame_cycles),
+            "chopin cycles": round(chopin.frame_cycles),
+            "chopin speedup": dup.frame_cycles / chopin.frame_cycles,
+            "comp MB": round(chopin.stats.traffic_total(
+                "composition") / 1e6, 1),
+        }
     # composition traffic scales with the sample count
     assert table["4x"]["comp MB"] > 3 * table["1x"]["comp MB"]
-    emit(reports_dir, "ablation_msaa",
+    emit("ablation_msaa",
          R.render_keyed_matrix(table, "MSAA", "Ablation: MSAA sample count "
                                "(grid, 8 GPUs)"))

@@ -17,7 +17,7 @@ from repro.harness import make_setup, run_benchmark
 from repro.harness import report as R
 from repro.stats import gmean
 
-from conftest import SWEEP_BENCHMARKS, emit, run_once
+from conftest import SWEEP_BENCHMARKS, emit
 
 SCHEMES = ("duplication", "gpupd", "chopin", "chopin+sched")
 
@@ -27,59 +27,51 @@ SCALING_GPUS = (16, 32, 64)
 SCALING_BENCHMARK = "wolf"
 
 
-def test_ablation_topology(benchmark, reports_dir):
-    def experiment():
-        p2p = make_setup("tiny", num_gpus=8)
-        bus = make_setup("tiny", num_gpus=8, topology="bus")
-        table = {}
-        for scheme in SCHEMES:
-            slowdowns = []
-            for bench in SWEEP_BENCHMARKS:
-                fast = run_benchmark(scheme, bench, p2p)
-                slow = run_benchmark(scheme, bench, bus)
-                slowdowns.append(slow.frame_cycles / fast.frame_cycles)
-            table[scheme] = {"bus slowdown": gmean(slowdowns)}
-        return table
-
-    table = run_once(benchmark, experiment)
+def test_ablation_topology():
+    p2p = make_setup("tiny", num_gpus=8)
+    bus = make_setup("tiny", num_gpus=8, topology="bus")
+    table = {}
+    for scheme in SCHEMES:
+        slowdowns = []
+        for bench in SWEEP_BENCHMARKS:
+            fast = run_benchmark(scheme, bench, p2p)
+            slow = run_benchmark(scheme, bench, bus)
+            slowdowns.append(slow.frame_cycles / fast.frame_cycles)
+        table[scheme] = {"bus slowdown": gmean(slowdowns)}
     for scheme in SCHEMES:
         assert table[scheme]["bus slowdown"] >= 0.999  # bus never helps
     assert table["chopin+sched"]["bus slowdown"] \
         <= table["duplication"]["bus slowdown"] + 0.05
-    emit(reports_dir, "ablation_topology",
+    emit("ablation_topology",
          R.render_keyed_matrix(table, "scheme",
                                "Ablation: shared-bus fabric slowdown "
                                "(gmean vs point-to-point)"))
 
 
-def test_ablation_topology_scaling(benchmark, reports_dir):
-    def experiment():
-        table = {}
-        crossovers = {}
-        for fabric in SCALING_FABRICS:
-            row = {}
-            prev_margin = None
-            crossovers[fabric] = None
-            for gpus in SCALING_GPUS:
-                setup = make_setup("tiny", num_gpus=gpus, topology=fabric)
-                base = run_benchmark("duplication", SCALING_BENCHMARK,
-                                     setup)
-                sched = run_benchmark("chopin+sched", SCALING_BENCHMARK,
-                                      setup)
-                speedup = base.frame_cycles / sched.frame_cycles
-                row[f"{gpus} GPUs"] = speedup
-                # compositor crossover: first GPU count where the
-                # scheduled compositor overtakes duplication (sign flip,
-                # same contract as harness.sweeps.crossover)
-                margin = speedup - 1.0
-                if margin > 0 and crossovers[fabric] is None:
-                    if prev_margin is None or prev_margin <= 0:
-                        crossovers[fabric] = gpus
-                prev_margin = margin
-            table[fabric] = row
-        return table, crossovers
-
-    table, crossovers = run_once(benchmark, experiment)
+def test_ablation_topology_scaling():
+    table = {}
+    crossovers = {}
+    for fabric in SCALING_FABRICS:
+        row = {}
+        prev_margin = None
+        crossovers[fabric] = None
+        for gpus in SCALING_GPUS:
+            setup = make_setup("tiny", num_gpus=gpus, topology=fabric)
+            base = run_benchmark("duplication", SCALING_BENCHMARK,
+                                 setup)
+            sched = run_benchmark("chopin+sched", SCALING_BENCHMARK,
+                                  setup)
+            speedup = base.frame_cycles / sched.frame_cycles
+            row[f"{gpus} GPUs"] = speedup
+            # compositor crossover: first GPU count where the
+            # scheduled compositor overtakes duplication (sign flip,
+            # same contract as harness.sweeps.crossover)
+            margin = speedup - 1.0
+            if margin > 0 and crossovers[fabric] is None:
+                if prev_margin is None or prev_margin <= 0:
+                    crossovers[fabric] = gpus
+            prev_margin = margin
+        table[fabric] = row
     for fabric in SCALING_FABRICS:
         # the compositor's advantage must grow from 16 to 64 GPUs on
         # every fabric (duplication re-rasterizes everything everywhere)
@@ -98,4 +90,4 @@ def test_ablation_topology_scaling(benchmark, reports_dir):
         at = crossovers[fabric]
         lines.append(f"  {fabric:<7}: "
                      f"{'<= 16 GPUs' if at == 16 else at or 'none'}")
-    emit(reports_dir, "ablation_topology_scaling", "\n".join(lines))
+    emit("ablation_topology_scaling", "\n".join(lines))

@@ -8,15 +8,14 @@ from repro.harness import experiments as E
 from repro.harness import report as R
 from repro.stats import gmean
 
-from conftest import FULL_BENCHMARKS, emit, run_once
+from conftest import FULL_BENCHMARKS, emit
 
 
-def test_fig2_geometry_share(benchmark, reports_dir):
-    shares = run_once(
-        benchmark, lambda: E.fig2_geometry_share(benchmarks=FULL_BENCHMARKS))
+def test_fig2_geometry_share():
+    shares = E.fig2_geometry_share(benchmarks=FULL_BENCHMARKS)
     for bench in FULL_BENCHMARKS:
         per_n = shares[bench]
         assert per_n[1] < per_n[2] < per_n[4] < per_n[8]
     avg8 = gmean(shares[b][8] for b in FULL_BENCHMARKS)
     assert 0.4 < avg8 < 0.9  # paper: 60-80%
-    emit(reports_dir, "fig02", R.render_fig2(shares))
+    emit("fig02", R.render_fig2(shares))

@@ -7,15 +7,14 @@ helps but parallel composition has more headroom than sequential exchange.
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import FULL_BENCHMARKS, emit, run_once
+from conftest import FULL_BENCHMARKS, emit
 
 
-def test_fig5_ideal_speedup(benchmark, reports_dir):
-    table = run_once(
-        benchmark, lambda: E.fig5_ideal_speedup(benchmarks=FULL_BENCHMARKS))
+def test_fig5_ideal_speedup():
+    table = E.fig5_ideal_speedup(benchmarks=FULL_BENCHMARKS)
     means = table["GMean"]
     assert means["chopin-ideal"] > 1.1      # paper: 1.31x
     assert means["gpupd-ideal"] > means["gpupd"]
-    emit(reports_dir, "fig05",
+    emit("fig05",
          R.render_speedups(table, "Fig 5: ideal-system speedups vs "
                            "duplication"))

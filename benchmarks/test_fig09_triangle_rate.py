@@ -7,14 +7,14 @@ geometry-stage triangles as the scheduler's load estimate.
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import emit, run_once
+from conftest import emit
 
 
-def test_fig9_triangle_rate(benchmark, reports_dir):
-    rows = run_once(benchmark, lambda: E.fig9_triangle_rate("tiny", "cod2"))
+def test_fig9_triangle_rate():
+    rows = E.fig9_triangle_rate("tiny", "cod2")
     assert len(rows) > 100
     correlation = E.fig9_correlation("tiny", "cod2")
     assert correlation > 0.2
     text = R.render_fig9(rows) + \
         f"\ngeometry-vs-pipeline rate correlation: {correlation:.3f}"
-    emit(reports_dir, "fig09", text)
+    emit("fig09", text)

@@ -7,12 +7,11 @@ GPUpd comparable to duplication; CHOPIN+CompSched within ~5% of IdealCHOPIN.
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import FULL_BENCHMARKS, emit, run_once
+from conftest import FULL_BENCHMARKS, emit
 
 
-def test_fig13_performance(benchmark, reports_dir):
-    table = run_once(
-        benchmark, lambda: E.fig13_performance(benchmarks=FULL_BENCHMARKS))
+def test_fig13_performance():
+    table = E.fig13_performance(benchmarks=FULL_BENCHMARKS)
     means = table["GMean"]
     # qualitative shape (see EXPERIMENTS.md for measured-vs-paper numbers)
     assert 1.0 < means["chopin+sched"] < 1.6       # paper: 1.25
@@ -22,6 +21,6 @@ def test_fig13_performance(benchmark, reports_dir):
     assert 0.6 < means["gpupd"] < 1.3              # paper: ~1.0
     best = max(table[b]["chopin+sched"] for b in FULL_BENCHMARKS)
     assert best > 1.3                              # paper: up to 1.56
-    emit(reports_dir, "fig13",
+    emit("fig13",
          R.render_speedups(table, "Fig 13: 8-GPU speedup vs primitive "
                            "duplication"))

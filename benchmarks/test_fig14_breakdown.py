@@ -10,12 +10,11 @@ from repro.harness import report as R
 from repro.stats import (STAGE_COMPOSITION, STAGE_DISTRIBUTION,
                          STAGE_GEOMETRY)
 
-from conftest import FULL_BENCHMARKS, emit, run_once
+from conftest import FULL_BENCHMARKS, emit
 
 
-def test_fig14_breakdown(benchmark, reports_dir):
-    table = run_once(
-        benchmark, lambda: E.fig14_breakdown(benchmarks=FULL_BENCHMARKS))
+def test_fig14_breakdown():
+    table = E.fig14_breakdown(benchmarks=FULL_BENCHMARKS)
     for bench in FULL_BENCHMARKS:
         dup = table[bench]["duplication"]
         chopin = table[bench]["chopin+sched"]
@@ -24,4 +23,4 @@ def test_fig14_breakdown(benchmark, reports_dir):
         assert gpupd[STAGE_DISTRIBUTION] > 0
         assert chopin[STAGE_COMPOSITION] > 0
         assert chopin[STAGE_DISTRIBUTION] == 0
-    emit(reports_dir, "fig14", R.render_fig14(table))
+    emit("fig14", R.render_fig14(table))

@@ -10,12 +10,11 @@ import numpy as np
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import FULL_BENCHMARKS, emit, run_once
+from conftest import FULL_BENCHMARKS, emit
 
 
-def test_fig15_depth_test(benchmark, reports_dir):
-    table = run_once(
-        benchmark, lambda: E.fig15_depth_test(benchmarks=FULL_BENCHMARKS))
+def test_fig15_depth_test():
+    table = E.fig15_depth_test(benchmarks=FULL_BENCHMARKS)
     ratios = []
     for bench in FULL_BENCHMARKS:
         assert table[bench]["duplication"]["total"] == 1.0
@@ -26,4 +25,4 @@ def test_fig15_depth_test(benchmark, reports_dir):
             > table[bench]["chopin+sched"]["other"]
         ratios.append(ratio)
     assert float(np.mean(ratios)) < 1.35   # paper avg: 1.07
-    emit(reports_dir, "fig15", R.render_fig15(table))
+    emit("fig15", R.render_fig15(table))

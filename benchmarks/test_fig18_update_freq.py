@@ -7,15 +7,13 @@ only a few percent (1.25x -> 1.22x gmean).
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import SWEEP_BENCHMARKS, emit, run_once
+from conftest import SWEEP_BENCHMARKS, emit
 
 
-def test_fig18_update_freq(benchmark, reports_dir):
-    table = run_once(
-        benchmark,
-        lambda: E.fig18_update_interval(benchmarks=SWEEP_BENCHMARKS))
+def test_fig18_update_freq():
+    table = E.fig18_update_interval(benchmarks=SWEEP_BENCHMARKS)
     values = [table[i]["chopin+sched"] for i in (1, 256, 512, 1024)]
     assert max(values) / min(values) < 1.25   # insensitive parameter
-    emit(reports_dir, "fig18",
+    emit("fig18",
          R.render_sweep(table, "interval", "Fig 18: scheduler update "
                         "interval (paper-scale triangles)"))

@@ -7,16 +7,15 @@ GPUpd, whose sequential primitive exchange is latency-bound.
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import SWEEP_BENCHMARKS, emit, run_once
+from conftest import SWEEP_BENCHMARKS, emit
 
 
-def test_fig21_latency(benchmark, reports_dir):
-    table = run_once(
-        benchmark, lambda: E.fig21_latency(benchmarks=SWEEP_BENCHMARKS))
+def test_fig21_latency():
+    table = E.fig21_latency(benchmarks=SWEEP_BENCHMARKS)
     chopin_loss = table[100]["chopin+sched"] / table[400]["chopin+sched"]
     gpupd_loss = table[100]["gpupd"] / table[400]["gpupd"]
     assert chopin_loss < 1.15              # CHOPIN barely affected
     assert gpupd_loss > chopin_loss        # GPUpd latency-bound
-    emit(reports_dir, "fig21",
+    emit("fig21",
          R.render_sweep(table, "cycles", "Fig 21: inter-GPU latency sweep "
                         "(baseline: Table II duplication)"))

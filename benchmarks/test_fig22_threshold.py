@@ -8,17 +8,13 @@ accelerated.
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import SWEEP_BENCHMARKS, emit, run_once
+from conftest import SWEEP_BENCHMARKS, emit
 
 
-def test_fig22_threshold(benchmark, reports_dir):
-    def experiment():
-        speed = E.fig22_threshold(benchmarks=SWEEP_BENCHMARKS)
-        coverage = E.fig22_coverage(benchmarks=SWEEP_BENCHMARKS,
-                                    thresholds=(4096, 16384))
-        return speed, coverage
-
-    speed, coverage = run_once(benchmark, experiment)
+def test_fig22_threshold():
+    speed = E.fig22_threshold(benchmarks=SWEEP_BENCHMARKS)
+    coverage = E.fig22_coverage(benchmarks=SWEEP_BENCHMARKS,
+                                thresholds=(4096, 16384))
     values = [speed[t]["chopin+sched"] for t in (256, 1024, 4096, 16384)]
     assert max(values) / min(values) < 1.35   # insensitive parameter
     assert coverage[4096]["triangle_coverage"] > 0.6   # paper: 92.4%
@@ -30,4 +26,4 @@ def test_fig22_threshold(benchmark, reports_dir):
     text += "\n\n" + R.render_sweep(
         {t: coverage[t] for t in coverage}, "threshold",
         "Accelerated-group coverage (paper at 4096: 6.5 groups, 92.44%)")
-    emit(reports_dir, "fig22", text)
+    emit("fig22", text)

@@ -11,35 +11,31 @@ from repro.harness import make_setup, run
 from repro.harness import report as R
 from repro.traces.stress import fragment_bound, micro_triangle
 
-from conftest import emit, run_once
+from conftest import emit
 
 
-def test_future_workloads(benchmark, reports_dir):
-    def experiment():
-        setup = make_setup("tiny", num_gpus=8)
-        table = {}
-        for detail in (1.0, 2.0, 4.0):
-            trace = micro_triangle(detail=detail)
-            dup = run("duplication", trace, setup)
-            chopin = run("chopin+sched", trace, setup)
-            table[f"detail {detail:g}x"] = {
-                "triangles": trace.num_triangles,
-                "chopin+sched": dup.frame_cycles / chopin.frame_cycles,
-            }
-        frag = fragment_bound()
-        dup = run("duplication", frag, setup)
-        chopin = run("chopin+sched", frag, setup)
-        table["fragment-bound"] = {
-            "triangles": frag.num_triangles,
+def test_future_workloads():
+    setup = make_setup("tiny", num_gpus=8)
+    table = {}
+    for detail in (1.0, 2.0, 4.0):
+        trace = micro_triangle(detail=detail)
+        dup = run("duplication", trace, setup)
+        chopin = run("chopin+sched", trace, setup)
+        table[f"detail {detail:g}x"] = {
+            "triangles": trace.num_triangles,
             "chopin+sched": dup.frame_cycles / chopin.frame_cycles,
         }
-        return table
-
-    table = run_once(benchmark, experiment)
+    frag = fragment_bound()
+    dup = run("duplication", frag, setup)
+    chopin = run("chopin+sched", frag, setup)
+    table["fragment-bound"] = {
+        "triangles": frag.num_triangles,
+        "chopin+sched": dup.frame_cycles / chopin.frame_cycles,
+    }
     sweep = [table[f"detail {d:g}x"]["chopin+sched"] for d in (1.0, 2.0, 4.0)]
     assert sweep == sorted(sweep), "CHOPIN's lead must grow with detail"
     assert table["fragment-bound"]["chopin+sched"] < sweep[0], \
         "fragment-bound workloads are the sort-first regime"
-    emit(reports_dir, "future_workloads",
+    emit("future_workloads",
          R.render_speedups(table, "Future workloads: CHOPIN speedup vs "
                            "geometric detail (fixed resolution)"))

@@ -13,16 +13,14 @@ at small tile counts because every tile message pays a head latency.
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import emit, run_once
+from conftest import emit
 
 GPU_COUNTS = (8, 16, 32, 64)
 
 
-def test_head_to_head(benchmark, reports_dir):
-    table = run_once(
-        benchmark,
-        lambda: E.composition_head_to_head(benchmarks=("wolf", "cod2"),
-                                           gpu_counts=GPU_COUNTS))
+def test_head_to_head():
+    table = E.composition_head_to_head(benchmarks=("wolf", "cod2"),
+                                       gpu_counts=GPU_COUNTS)
     for workload, counts in table.items():
         for n, row in counts.items():
             # every DES transport overlaps composition behind rendering;
@@ -38,4 +36,4 @@ def test_head_to_head(benchmark, reports_dir):
         for n, row in counts.items():
             assert row["binary-swap"]["composition_cycles"] \
                 <= row["direct-send"]["composition_cycles"] + 1e-9
-    emit(reports_dir, "head_to_head", R.render_head_to_head(table))
+    emit("head_to_head", R.render_head_to_head(table))

@@ -11,7 +11,7 @@ from repro.harness import report as R
 from repro.traces import TraceSpec, synthesize
 from repro.traces.trace import Trace
 
-from conftest import emit, run_once
+from conftest import emit
 
 
 def animated_trace(frames=10):
@@ -27,17 +27,13 @@ def animated_trace(frames=10):
     return Trace(name="gameplay", width=96, height=96, frames=parts)
 
 
-def test_study_afr_vs_sfr(benchmark, reports_dir):
-    def experiment():
-        return compare_afr_sfr(animated_trace(), make_setup("tiny",
-                                                            num_gpus=4))
-
-    report = run_once(benchmark, experiment)
+def test_study_afr_vs_sfr():
+    report = compare_afr_sfr(animated_trace(), make_setup("tiny", num_gpus=4))
     assert report["sfr_mean_latency"] < report["afr_mean_latency"]
     assert report["afr_total_cycles"] < report["sfr_total_cycles"]
     pretty = {k: (f"{v:,.0f}" if isinstance(v, float) and v > 100
                   else f"{v:.3f}" if isinstance(v, float) else str(v))
               for k, v in report.items()}
-    emit(reports_dir, "study_afr_vs_sfr",
+    emit("study_afr_vs_sfr",
          R.render_dict(pretty, "Study: AFR vs SFR (4 GPUs, 10-frame "
                        "gameplay sequence)"))

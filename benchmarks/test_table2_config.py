@@ -3,13 +3,13 @@
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import emit, run_once
+from conftest import emit
 
 
-def test_table2_config(benchmark, reports_dir):
-    table = run_once(benchmark, E.table2_config)
+def test_table2_config():
+    table = E.table2_config()
     assert table["Number of GPUs"] == "8"
     assert table["Inter-GPU bandwidth"] == "64 GB/s"
     assert table["Inter-GPU latency"] == "200 cycles"
-    emit(reports_dir, "table2",
+    emit("table2",
          R.render_dict(table, "Table II: simulated architecture"))

@@ -3,11 +3,11 @@
 from repro.harness import experiments as E
 from repro.harness import report as R
 
-from conftest import FULL_BENCHMARKS, emit, run_once
+from conftest import FULL_BENCHMARKS, emit
 
 
-def test_table3_traces(benchmark, reports_dir):
-    rows = run_once(benchmark, E.table3_benchmarks)
+def test_table3_traces():
+    rows = E.table3_benchmarks()
     assert len(rows) == len(FULL_BENCHMARKS)
     by_name = {r["benchmark"]: r for r in rows}
     # paper-scale numbers are exact
@@ -16,4 +16,4 @@ def test_table3_traces(benchmark, reports_dir):
     # generated traces match the scaled spec exactly
     for row in rows:
         assert row["run_triangles"] == row["paper_triangles"] // 64
-    emit(reports_dir, "table3", R.render_table3(rows))
+    emit("table3", R.render_table3(rows))

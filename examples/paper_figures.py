@@ -3,8 +3,9 @@
 
 Prints Fig 2 (why duplication doesn't scale), Fig 13 (the main result), and
 Fig 17 (composition traffic) for a configurable benchmark subset. The full
-per-figure harness lives in benchmarks/ (pytest-benchmark targets); this
-example shows how to drive the same experiment functions directly.
+per-figure harness lives in benchmarks/ (pytest targets that check each
+figure against its committed report); this example shows how to drive the
+same experiment functions directly.
 
 Run:  python examples/paper_figures.py [bench ...]
 """

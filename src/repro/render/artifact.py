@@ -88,7 +88,7 @@ class DrawArtifact:
 
     Everything downstream of the geometry stage needs: screen-space
     triangles with interpolation attributes, the cull/clip counts the
-    metrics start from, and per-triangle screen bounds.
+    metrics start from, and which triangles can produce fragments.
     Assignment-independent by construction — the same artifact serves
     every scheme, GPU count and draw subset at this resolution.
     """
@@ -103,8 +103,6 @@ class DrawArtifact:
     depth: np.ndarray
     #: (T, 3, 4) float32 per-vertex RGBA (post near-clip interpolation)
     colors: np.ndarray
-    #: (T, 4) float32 screen bounds [xmin, ymin, xmax, ymax] per triangle
-    bounds: np.ndarray
     #: (T,) bool — triangle has a non-empty clamped pixel bbox and
     #: non-zero area. The fragment phase hands it to
     #: :func:`~repro.raster.rasterizer.rasterize_triangles`, which
@@ -121,7 +119,7 @@ class DrawArtifact:
     def nbytes(self) -> int:
         """In-memory footprint, for the store's byte-budget accounting."""
         return int(self.xy.nbytes + self.depth.nbytes + self.colors.nbytes
-                   + self.bounds.nbytes + self.live.nbytes)
+                   + self.live.nbytes)
 
 
 def empty_artifact(triangles_submitted: int,
@@ -133,6 +131,5 @@ def empty_artifact(triangles_submitted: int,
         xy=np.empty((0, 3, 2), dtype=np.float32),
         depth=np.empty((0, 3), dtype=np.float32),
         colors=np.empty((0, 3, 4), dtype=np.float32),
-        bounds=np.empty((0, 4), dtype=np.float32),
         live=np.empty(0, dtype=bool),
     )

@@ -96,23 +96,22 @@ def geometry_phase(draw: DrawCommand, camera: Camera,
 
     ndc = perspective_divide(clip)
     xy, depth = to_screen(ndc, width, height)
-    bounds = triangle_screen_bounds(xy)
     return DrawArtifact(
         triangles_submitted=draw.num_triangles,
         triangles_culled=num_culled,
-        xy=xy, depth=depth, colors=colors, bounds=bounds,
-        live=_live_mask(xy, bounds, width, height),
+        xy=xy, depth=depth, colors=colors,
+        live=_live_mask(xy, width, height),
     )
 
 
-def _live_mask(xy: np.ndarray, bounds: np.ndarray,
-               width: int, height: int) -> np.ndarray:
+def _live_mask(xy: np.ndarray, width: int, height: int) -> np.ndarray:
     """Triangles whose rasterization can produce fragments.
 
     Mirrors the rasterizer's own early-outs exactly (zero signed area, or
     an empty pixel bbox after clamping to the screen), so skipping a
     non-live triangle is observationally identical to rasterizing it.
     """
+    bounds = triangle_screen_bounds(xy)
     v0, v1, v2 = xy[:, 0], xy[:, 1], xy[:, 2]
     area = ((v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
             - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0]))

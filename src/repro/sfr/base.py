@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..config import SystemConfig
-from ..errors import PipelineError
 from ..framebuffer.framebuffer import Framebuffer
 from ..render import (DrawMetrics, ReferencePass, build_shader_library,
                       render_service)
@@ -131,10 +130,3 @@ class SFRScheme:
         its owned region of the current colour+depth surfaces to every peer."""
         own_pixels = trace.width * trace.height / self.config.num_gpus
         return own_pixels * self.config.effective_pixel_bytes
-
-    def _check_image(self, result_image: Framebuffer,
-                     reference: Framebuffer, tol: float = 2e-3) -> None:
-        if not result_image.same_image(reference, tol=tol):
-            raise PipelineError(
-                f"{self.name}: final image deviates from single-GPU "
-                f"reference by {result_image.max_color_error(reference):.4f}")

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.framebuffer import SurfacePool
 from repro.geometry import BlendOp, DepthFunc, DrawCommand, RenderState
-from repro.geometry.transform import triangle_screen_bounds
 from repro.raster import rasterizer
 from repro.raster.rasterizer import rasterize_triangles
 from repro.render.artifact import DrawArtifact
@@ -44,12 +43,10 @@ def make_artifact(rng, num_tris, width, height, snap, all_live=False):
         xy[tri, :2] = xy[tri - 1, 1:][::-1]
     depth = (rng.integers(0, 5, size=(num_tris, 3)) / 4).astype(np.float32)
     colors = rng.random((num_tris, 3, 4), dtype=np.float32)
-    bounds = triangle_screen_bounds(xy)
     live = (np.ones(num_tris, dtype=bool) if all_live
-            else _live_mask(xy, bounds, width, height))
+            else _live_mask(xy, width, height))
     return DrawArtifact(triangles_submitted=num_tris + 1, triangles_culled=1,
-                        xy=xy, depth=depth, colors=colors, bounds=bounds,
-                        live=live)
+                        xy=xy, depth=depth, colors=colors, live=live)
 
 
 def make_surfaces(rng, width, height, state):
@@ -179,7 +176,7 @@ def test_fragmentless_draw_binds_the_same_surfaces(mask_mode):
         triangles_submitted=len(xy), triangles_culled=0, xy=xy,
         depth=np.full((len(xy), 3), 0.5, np.float32),
         colors=np.ones((len(xy), 3, 4), np.float32),
-        bounds=triangle_screen_bounds(xy), live=np.ones(len(xy), bool))
+        live=np.ones(len(xy), bool))
     draw = DrawCommand(draw_id=1, positions=np.zeros((len(xy), 3, 3)),
                        colors=np.zeros((len(xy), 3, 4)),
                        state=RenderState(render_target=2, depth_buffer=3))
